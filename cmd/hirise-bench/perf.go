@@ -22,7 +22,7 @@ import (
 	"github.com/reprolab/hirise/internal/xpoint"
 )
 
-// perfSchema identifies the BENCH_PR4.json layout; bump on breaking
+// perfSchema identifies the -perf JSON layout; bump on breaking
 // changes. The format is documented in EXPERIMENTS.md.
 const perfSchema = "hirise-bench-perf/v1"
 
@@ -78,7 +78,9 @@ func perfSuite() []struct {
 			}
 			return sw
 		})},
-		{"fabric/DragonflySaturation/routers=72", perfFabric()},
+		{"fabric/DragonflySaturation/routers=72", perfFabric(
+			fabric.Dragonfly{Groups: 9, GroupSize: 8, GlobalPorts: 1, Conc: 2, Lanes: 1})},
+		{"fabric/MeshSaturation/routers=256", perfFabric(fabric.Mesh{W: 16, H: 16, Conc: 4, Lanes: 1})},
 	}
 }
 
@@ -214,19 +216,20 @@ func measureCampaigns() ([]perfResult, error) {
 }
 
 // perfFabric benchmarks one saturated steady-state fabric simulation per
-// op: a 72-router dragonfly (9 groups x 8 routers, 144 cores) under
-// fully-backlogged uniform traffic, 200 warmup + 800 measured cycles.
-// This is the multi-switch routing/credit hot loop end to end — route
-// computation, VC-band credit scans, arbitration, and link transfers at
-// every router every cycle.
-func perfFabric() func(b *testing.B) {
+// op: the topology under fully-backlogged uniform traffic with minimal
+// routing, 200 warmup + 800 measured cycles. This is the multi-switch
+// routing/credit hot loop end to end — route computation, credit
+// tests, arbitration, and link transfers at every router every cycle.
+// The suite runs it on a 72-router dragonfly (9 groups x 8 routers,
+// 144 cores) and on the 16x16 mesh of 4-core routers that is the fabric
+// campaign's costliest row.
+func perfFabric(t fabric.Topology) func(b *testing.B) {
 	return func(b *testing.B) {
-		d := fabric.Dragonfly{Groups: 9, GroupSize: 8, GlobalPorts: 1, Conc: 2, Lanes: 1}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := fabric.Run(fabric.Config{
-				Topo: d, Routing: fabric.Minimal,
-				Traffic: traffic.Uniform{Radix: d.Nodes() * d.Conc},
+				Topo: t, Routing: fabric.Minimal,
+				Traffic: traffic.Uniform{Radix: t.Nodes() * t.Concentration()},
 				Load:    1.0, Warmup: 200, Measure: 800,
 			}); err != nil {
 				b.Fatal(err)

@@ -105,13 +105,22 @@ type subBlock struct {
 	clrg   *arb.CLRG
 }
 
-// New returns a Hi-Rise switch for the given configuration.
-func New(cfg topo.Config) (*Switch, error) {
+// Validate reports whether New would accept cfg, without building
+// anything: the topology checks plus Hi-Rise's at-least-two-layers rule.
+func Validate(cfg topo.Config) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Layers < 2 {
-		return nil, fmt.Errorf("core: Hi-Rise needs at least 2 layers, have %d (use crossbar.New for 2D)", cfg.Layers)
+		return fmt.Errorf("core: Hi-Rise needs at least 2 layers, have %d (use crossbar.New for 2D)", cfg.Layers)
+	}
+	return nil
+}
+
+// New returns a Hi-Rise switch for the given configuration.
+func New(cfg topo.Config) (*Switch, error) {
+	if err := Validate(cfg); err != nil {
+		return nil, err
 	}
 	n, ports := cfg.Radix, cfg.PortsPerLayer()
 	lines := cfg.SubBlockInputs()

@@ -58,6 +58,26 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestValidateMatchesNew pins that Validate accepts exactly what New
+// accepts, with the same messages, so callers can check a configuration
+// without building a switch.
+func TestValidateMatchesNew(t *testing.T) {
+	for _, c := range []topo.Config{
+		cfg(4, topo.CLRG),
+		{Radix: 63, Layers: 4, Channels: 1},
+		{Radix: 64, Layers: 1},
+		{Radix: 64, Layers: 4, Channels: 0},
+		{Radix: 64, Layers: 4, Channels: 3, Alloc: topo.InputBinned},
+		{Radix: 64, Layers: 4, Channels: 4, Scheme: topo.CLRG, Classes: 1},
+	} {
+		_, newErr := New(c)
+		valErr := Validate(c)
+		if (newErr == nil) != (valErr == nil) || (newErr != nil && newErr.Error() != valErr.Error()) {
+			t.Errorf("%+v: New error %v, Validate error %v", c, newErr, valErr)
+		}
+	}
+}
+
 func TestSameLayerConnection(t *testing.T) {
 	s := mustNew(t, cfg(1, topo.L2LLRG))
 	// Input 0 and output 5 are both on layer 0: local path, no L2LC.

@@ -8,7 +8,7 @@ import (
 
 // TestRunSteadyStateAllocs pins the fabric's hot-loop property: with
 // Obs disabled, every allocation happens during setup (routers, VC
-// rings, source queues, histogram, candidate scratch), so simulating
+// rings, source queues, histogram, route tables), so simulating
 // four times as many cycles must allocate no more than the baseline.
 // Run on the dragonfly with Valiant routing — the path that touches
 // every mechanism: two-phase routes, class bumps, and lane rotation.

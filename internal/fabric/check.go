@@ -1,6 +1,9 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // checker is the fabric's self-checking invariant layer (Config.Check).
 // It verifies online, at checkInterval cadence, that the credit
@@ -16,7 +19,12 @@ import "fmt"
 //   - Credit conservation: for every (input port, VC) the occupancy
 //     plus outstanding reservations never exceeds the buffer bound, and
 //     the reservation count equals exactly the in-flight transfers
-//     targeting that slot.
+//     targeting that slot (recounted over the reverse link map).
+//   - Fast-path state: every output's mirrored free-VC bits equal the
+//     downstream truth (occupancy + reservations < VCBufPkts), every
+//     input's occupancy bits equal its non-empty VCs, and every
+//     memoized route equals a fresh route computation for the buffer's
+//     current head.
 //   - No VC-cycle occupancy: every buffered packet sits in a VC of the
 //     band matching its class, and classes stay below the topology's
 //     class count — so the class-banded channel order that makes the
@@ -25,12 +33,12 @@ import "fmt"
 //     (source queues + VC buffers) + dead.
 type checker struct {
 	n *network
-	// expect is scratch for recomputing reservation counts.
-	expect []uint8
+	// holder is scratch: per global output port, the input holding it.
+	holder []int
 }
 
 func newChecker(n *network) *checker {
-	return &checker{n: n, expect: make([]uint8, n.radix*n.vcs)}
+	return &checker{n: n, holder: make([]int, len(n.free))}
 }
 
 // checkGrant validates one grant as the switch hands it out.
@@ -55,58 +63,105 @@ func (c *checker) checkGrant(cycle int64, ni, in, out int) error {
 // scan runs the periodic structural invariants over the whole fabric.
 func (c *checker) scan(cycle int64) error {
 	n := c.n
-	classes := len(n.bandLo)
-	for ni := range n.nodes {
-		nd := &n.nodes[ni]
-		for p := 0; p < n.radix; p++ {
-			for v := 0; v < n.vcs; v++ {
-				slot := p*n.vcs + v
-				q := &nd.vcq[slot]
-				if q.n+int(nd.resv[slot]) > n.cfg.VCBufPkts {
-					return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: occupancy %d + reserved %d exceeds buffer %d",
-						cycle, ni, p, v, q.n, nd.resv[slot], n.cfg.VCBufPkts)
+	classes := len(n.bandMask)
+	for gp := range n.occ {
+		ni, p := gp/n.radix, gp%n.radix
+		var occ uint64
+		for v := 0; v < n.vcs; v++ {
+			slot := gp*n.vcs + v
+			q := &n.vcq[slot]
+			if q.n > 0 {
+				occ |= 1 << v
+			}
+			if q.n+int(n.resv[slot]) > n.cfg.VCBufPkts {
+				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: occupancy %d + reserved %d exceeds buffer %d",
+					cycle, ni, p, v, q.n, n.resv[slot], n.cfg.VCBufPkts)
+			}
+			for i := 0; i < q.n; i++ {
+				j := q.head + i
+				if j >= len(q.buf) {
+					j -= len(q.buf)
 				}
-				for i := 0; i < q.n; i++ {
-					j := q.head + i
-					if j >= len(q.buf) {
-						j -= len(q.buf)
-					}
-					cl := int(q.buf[j].class)
-					if cl >= classes {
-						return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: packet class %d out of range (%d classes)",
-							cycle, ni, p, v, cl, classes)
-					}
-					if v < n.bandLo[cl] || v >= n.bandHi[cl] {
-						return fmt.Errorf("fabric: checker: cycle %d router %d port %d: class-%d packet occupies vc %d outside band [%d,%d)",
-							cycle, ni, p, cl, v, n.bandLo[cl], n.bandHi[cl])
-					}
+				cl := int(q.buf[j].class)
+				if cl >= classes {
+					return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: packet class %d out of range (%d classes)",
+						cycle, ni, p, v, cl, classes)
+				}
+				if band := n.bandMask[cl]; band>>v&1 == 0 {
+					return fmt.Errorf("fabric: checker: cycle %d router %d port %d: class-%d packet occupies vc %d outside band [%d,%d)",
+						cycle, ni, p, cl, v, bits.TrailingZeros64(band), 64-bits.LeadingZeros64(band))
 				}
 			}
+			memo := n.routes[slot]
+			if memo.lanes == 0 {
+				continue
+			}
+			if q.n == 0 {
+				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: route memo on an empty buffer",
+					cycle, ni, p, v)
+			}
+			if want, retire := n.rc(ni, q.peek()); retire || want != memo {
+				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: memoized route %+v, head routes to %+v (retire %v)",
+					cycle, ni, p, v, memo, want, retire)
+			}
+		}
+		if occ != n.occ[gp] {
+			return fmt.Errorf("fabric: checker: cycle %d router %d port %d: occupancy bits %b, non-empty VCs %b",
+				cycle, ni, p, n.occ[gp], occ)
+		}
+		// Read as an output, gp mirrors its downstream input's credits.
+		var free uint64
+		if d := n.rt.down[gp]; d >= 0 {
+			for v := 0; v < n.vcs; v++ {
+				if slot := d*n.vcs + v; n.vcq[slot].n+int(n.resv[slot]) < n.cfg.VCBufPkts {
+					free |= 1 << v
+				}
+			}
+		}
+		if free != n.free[gp] {
+			return fmt.Errorf("fabric: checker: cycle %d router %d output %d: credit mirror %b, downstream free VCs %b",
+				cycle, ni, p, n.free[gp], free)
 		}
 	}
-	// Credit conservation: recompute every router's reservation counts
-	// from the in-flight transfers targeting it and compare.
+	return c.reservations(cycle)
+}
+
+// reservations recounts every slot's reserved credits from the
+// in-flight transfers in O(ports): an input port has at most one
+// upstream output (the reverse link map), and an output carries at
+// most one connection.
+func (c *checker) reservations(cycle int64) error {
+	n := c.n
+	for u := range c.holder {
+		c.holder[u] = -1
+	}
 	for ni := range n.nodes {
-		down := &n.nodes[ni]
-		for i := range c.expect {
-			c.expect[i] = 0
-		}
-		for ui := range n.nodes {
-			up := &n.nodes[ui]
-			for in := range up.active {
-				if !up.active[in] || up.connOut[in] < n.conc {
-					continue
-				}
-				nb, inPort := n.topo.LinkDest(ui, up.connOut[in])
-				if nb == ni {
-					c.expect[inPort*n.vcs+up.downVC[in]]++
-				}
+		nd := &n.nodes[ni]
+		for in, on := range nd.active {
+			if !on {
+				continue
 			}
+			u := ni*n.radix + nd.connOut[in]
+			if c.holder[u] >= 0 {
+				return fmt.Errorf("fabric: checker: cycle %d router %d: output %d held by inputs %d and %d",
+					cycle, ni, nd.connOut[in], c.holder[u], in)
+			}
+			c.holder[u] = in
 		}
-		for slot := range c.expect {
-			if c.expect[slot] != down.resv[slot] {
-				return fmt.Errorf("fabric: checker: cycle %d router %d slot %d: reserved %d, in-flight transfers %d",
-					cycle, ni, slot, down.resv[slot], c.expect[slot])
+	}
+	for gp := range n.occ {
+		flightVC := -1
+		if u := n.rt.up[gp]; u >= 0 && c.holder[u] >= 0 {
+			flightVC = n.nodes[u/n.radix].downVC[c.holder[u]]
+		}
+		for v := 0; v < n.vcs; v++ {
+			want := uint8(0)
+			if v == flightVC {
+				want = 1
+			}
+			if got := n.resv[gp*n.vcs+v]; got != want {
+				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: reserved %d, in-flight transfers %d",
+					cycle, gp/n.radix, gp%n.radix, v, got, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/reprolab/hirise/internal/sim"
@@ -33,25 +34,34 @@ func TestSaturationTerminates(t *testing.T) {
 		}
 		for _, r := range []Routing{Minimal, Valiant} {
 			for _, p := range patterns {
-				t.Run(tc.name+"/"+r.String()+"/"+p.name, func(t *testing.T) {
-					cfg := baseConfig(tc.topo)
-					cfg.Routing = r
-					cfg.Traffic = p.tr
-					cfg.Load = 1.0
-					cfg.Warmup = 500
-					cfg.Measure = 3000
-					cfg.VCBufPkts = 2 // deeper buffers widen the cycle window
-					res, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
+				// Deeper buffers widen the cycle window; three packets per
+				// VC also means a pop usually exposes a new head, which
+				// must not inherit the old head's memoized route.
+				for _, buf := range []int{2, 3} {
+					name := tc.name + "/" + r.String() + "/" + p.name
+					if buf != 2 {
+						name += fmt.Sprintf("/buf=%d", buf)
 					}
-					if res.Delivered == 0 {
-						t.Fatal("no progress under saturation")
-					}
-					if res.DeadFlows != 0 {
-						t.Fatalf("DeadFlows = %d without faults", res.DeadFlows)
-					}
-				})
+					t.Run(name, func(t *testing.T) {
+						cfg := baseConfig(tc.topo)
+						cfg.Routing = r
+						cfg.Traffic = p.tr
+						cfg.Load = 1.0
+						cfg.Warmup = 500
+						cfg.Measure = 3000
+						cfg.VCBufPkts = buf
+						res, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Delivered == 0 {
+							t.Fatal("no progress under saturation")
+						}
+						if res.DeadFlows != 0 {
+							t.Fatalf("DeadFlows = %d without faults", res.DeadFlows)
+						}
+					})
+				}
 			}
 		}
 	}

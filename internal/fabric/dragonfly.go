@@ -236,6 +236,9 @@ func (d Dragonfly) ViaCandidates(dst []int, node, via int) []int {
 	return dst
 }
 
+// vias implements Topology: the waypoints are groups.
+func (d Dragonfly) vias() int { return d.Groups }
+
 // wired implements Topology: balance makes every local and global port
 // carry a link (router rl's global index rl*GlobalPorts+h never exceeds
 // Groups-2).

@@ -3,6 +3,8 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/obs"
@@ -111,9 +113,14 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fabric: non-positive structural parameter")
 	case c.Warmup < 0 || c.Measure <= 0:
 		return fmt.Errorf("fabric: bad windows warmup=%d measure=%d", c.Warmup, c.Measure)
+	case c.VCs > 64:
+		return fmt.Errorf("fabric: %d VCs per port, at most 64 (one bit each in the credit masks)", c.VCs)
 	}
 	if err := c.Topo.validate(); err != nil {
 		return err
+	}
+	if r := c.Topo.Radix(); r > math.MaxUint16 {
+		return fmt.Errorf("fabric: radix %d exceeds the route tables' %d ports", r, math.MaxUint16)
 	}
 	if classes := c.Topo.Classes(c.Routing); c.VCs < classes {
 		return fmt.Errorf("fabric: %d VCs cannot hold the %d deadlock classes %v routing needs",
@@ -187,6 +194,23 @@ type packet struct {
 	phase uint8 // 0 = toward the waypoint, 1 = toward the destination
 }
 
+// route is a head packet's route computation (the RC stage of a VC
+// router): everything about its next hop that depends only on the
+// packet and the static topology. It is memoized per VC buffer, so RC
+// runs once per head packet; only the VC-allocation stage (va), which
+// tests downstream credit, runs every cycle the head waits.
+//
+// pushVC and popVC clear the memo on every change to its buffer, so it
+// never outlives the head it was computed for. Clearing it only when
+// the buffer empties is not enough: with VCBufPkts > 1 a pop exposes a
+// new head under the old head's route.
+type route struct {
+	port  uint16 // ejection port, or the first lane of the next-hop bundle
+	lanes uint16 // candidate lanes (surviving lanes under faults); 0 = no memo
+	start uint16 // rotation start among the candidates: the lane tie-break
+	class uint8  // class after the waypoint bump, before the link's bump
+}
+
 // fifo is a fixed-capacity ring buffer of packets (same rationale as
 // internal/sim: one allocation for the whole run).
 type fifo struct {
@@ -217,13 +241,12 @@ func (q *fifo) pop() packet {
 	return p
 }
 
-// router is one switch plus its input buffering and connection state.
+// router is one switch plus its per-input connection state; its VC
+// buffers live in the network-wide arrays.
 type router struct {
-	sw   sim.Switch
-	vcq  []fifo  // input buffers, indexed port*VCs+vc
-	resv []uint8 // credits reserved by in-flight link transfers, same index
-	req  []int   // per input port: requested output this cycle
-	rr   []int   // per input port: round-robin VC pointer
+	sw  sim.Switch
+	req []int // per input port: requested output this cycle
+	rr  []int // per input port: round-robin VC pointer
 	// Active connections, per input port.
 	active    []bool
 	connVC    []int
@@ -250,11 +273,27 @@ type network struct {
 	vcs   int
 	nodes []router
 	src   []source
-	// VC bands: class c owns VCs [bandLo[c], bandHi[c]).
-	bandLo, bandHi []int
+	rt    routeTables
 
-	cand []int // route-candidate scratch
-	rel  []int // pending releases, encoded node*radix+port
+	// VC buffer state, indexed by global slot (node*radix+port)*vcs+vc.
+	vcq    []fifo
+	resv   []uint8 // credits reserved by in-flight link transfers
+	routes []route // memoized route of each buffer's head; lanes 0 = none
+	// occ[node*radix+in] has bit v set iff input VC v holds a packet.
+	occ []uint64
+	// free[node*radix+out] mirrors, at the upstream end of a link, which
+	// downstream VCs have a credit (occupancy + reservations below
+	// VCBufPkts); zero on core and unwired ports. It changes exactly
+	// where a downstream buffer's occupancy or reservations do.
+	free []uint64
+	// bandMask[c] is class c's contiguous VC band; vcMask is all VCs.
+	bandMask []uint64
+	vcMask   uint64
+	// dead[node*radix+out] marks failed lanes and lanes into failed
+	// routers; nil without faults.
+	dead []bool
+
+	rel []int // pending releases, encoded node*radix+port
 
 	hist *stats.Histogram
 	hops stats.Summary
@@ -298,57 +337,80 @@ func newNetwork(cfg Config) *network {
 		vcs:   cfg.VCs,
 		nodes: make([]router, t.Nodes()),
 		src:   make([]source, t.Nodes()*t.Concentration()),
-		cand:  make([]int, 0, 8),
 		hist:  stats.NewHistogram(4, 4096),
 	}
-	classes := t.Classes(cfg.Routing)
-	n.bandLo = make([]int, classes)
-	n.bandHi = make([]int, classes)
-	for c := 0; c < classes; c++ {
-		n.bandLo[c] = c * cfg.VCs / classes
-		n.bandHi[c] = (c + 1) * cfg.VCs / classes
-	}
-	// All router-local state comes from a handful of network-wide slabs:
-	// a 72-router dragonfly otherwise pays thousands of small allocations
-	// (one per VC buffer alone) before the first cycle runs.
+	// All router-local state and the route tables come from a handful of
+	// network-wide slabs: a 72-router dragonfly otherwise pays thousands
+	// of small allocations (one per VC buffer alone) before the first
+	// cycle runs.
 	nNodes := len(n.nodes)
-	rv := n.radix * cfg.VCs
-	fifos := make([]fifo, nNodes*rv)
-	vcBufs := make([]packet, nNodes*rv*cfg.VCBufPkts)
-	for i := range fifos {
-		fifos[i].buf = vcBufs[i*cfg.VCBufPkts : (i+1)*cfg.VCBufPkts : (i+1)*cfg.VCBufPkts]
+	ports := nNodes * n.radix
+	slots := ports * cfg.VCs
+	classes := t.Classes(cfg.Routing)
+	tInts, tU16s, tBytes := tableSizes(t, cfg.Routing)
+	n.vcq = make([]fifo, slots)
+	n.routes = make([]route, slots)
+	pkts := make([]packet, slots*cfg.VCBufPkts+len(n.src)*cfg.SourceQueueCap)
+	for i := range n.vcq {
+		n.vcq[i].buf = carve(&pkts, cfg.VCBufPkts)
 	}
-	ints := make([]int, nNodes*6*n.radix)
-	bytes := make([]uint8, nNodes*(rv+n.radix))
-	bools := make([]bool, nNodes*n.radix)
-	carveInt := func() []int {
-		s := ints[:n.radix:n.radix]
-		ints = ints[n.radix:]
-		return s
-	}
+	ints := make([]int, 7*ports+tInts)
+	bytes := make([]uint8, slots+ports+tBytes)
+	bools := make([]bool, ports)
+	words := make([]uint64, 2*ports+classes)
+	n.resv = carve(&bytes, slots)
+	n.occ = carve(&words, ports)
+	n.free = carve(&words, ports)
+	n.bandMask = carve(&words, classes)
 	for i := range n.nodes {
 		nd := &n.nodes[i]
 		nd.sw = cfg.NewSwitch()
-		nd.vcq = fifos[i*rv : (i+1)*rv : (i+1)*rv]
-		nd.resv = bytes[:rv:rv]
-		nd.downClass = bytes[rv : rv+n.radix : rv+n.radix]
-		bytes = bytes[rv+n.radix:]
-		nd.active = bools[i*n.radix : (i+1)*n.radix : (i+1)*n.radix]
-		nd.req = carveInt()
-		nd.rr = carveInt()
-		nd.connVC = carveInt()
-		nd.connOut = carveInt()
-		nd.downVC = carveInt()
-		nd.remaining = carveInt()
+		nd.downClass = carve(&bytes, n.radix)
+		nd.active = carve(&bools, n.radix)
+		nd.req = carve(&ints, n.radix)
+		nd.rr = carve(&ints, n.radix)
+		nd.connVC = carve(&ints, n.radix)
+		nd.connOut = carve(&ints, n.radix)
+		nd.downVC = carve(&ints, n.radix)
+		nd.remaining = carve(&ints, n.radix)
 	}
+	n.rel = carve(&ints, ports)[:0]
+	n.rt = buildTables(t, cfg.Routing, ints, make([]uint16, tU16s), bytes)
+
+	n.vcMask = ^uint64(0) >> (64 - cfg.VCs)
+	for c := 0; c < classes; c++ {
+		lo, hi := c*cfg.VCs/classes, (c+1)*cfg.VCs/classes
+		n.bandMask[c] = ^uint64(0) >> (64 - hi) &^ (1<<lo - 1)
+	}
+	// Every downstream VC starts empty: each link output holds all its
+	// credits.
+	for u, d := range n.rt.down {
+		if d >= 0 {
+			n.free[u] = n.vcMask
+		}
+	}
+	if fs := cfg.Faults; fs != nil {
+		n.dead = make([]bool, ports)
+		for u, d := range n.rt.down {
+			if d >= 0 {
+				n.dead[u] = fs.LinkFailed(u/n.radix, u%n.radix) || fs.RouterFailed(d/n.radix)
+			}
+		}
+	}
+
 	root := prng.New(cfg.Seed)
-	srcBufs := make([]packet, len(n.src)*cfg.SourceQueueCap)
 	for i := range n.src {
 		root.SplitTo(&n.src[i].rng)
-		n.src[i].q.buf = srcBufs[i*cfg.SourceQueueCap : (i+1)*cfg.SourceQueueCap : (i+1)*cfg.SourceQueueCap]
+		n.src[i].q.buf = carve(&pkts, cfg.SourceQueueCap)
 	}
-	n.rel = make([]int, 0, t.Nodes()*n.radix)
 	return n
+}
+
+// carve cuts the next k elements off the front of a slab.
+func carve[T any](slab *[]T, k int) []T {
+	s := (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	return s
 }
 
 // nodeOfCore returns the router hosting a core and its local port.
@@ -356,54 +418,46 @@ func (n *network) nodeOfCore(core int) (node, port int) {
 	return core / n.conc, core % n.conc
 }
 
-// route computes the request for a head packet at router ni: the output
-// port and, for link hops, the downstream VC and post-hop class. ok is
-// false when every candidate lane lacks credit this cycle (the packet
-// holds); retire is true when the static fail-set severed every route
-// (the packet can never be delivered).
-func (n *network) route(ni int, pkt *packet) (out, downVC int, downClass uint8, ok, retire bool) {
+// pushVC appends a packet to input VC v of global port gp.
+func (n *network) pushVC(gp, v int, p packet) {
+	n.vcq[gp*n.vcs+v].push(p)
+	n.routes[gp*n.vcs+v].lanes = 0
+	n.occ[gp] |= 1 << v
+}
+
+// popVC removes the head of input VC v of global port gp. The freed
+// buffer slot is a credit for the upstream output feeding gp.
+func (n *network) popVC(gp, v int) packet {
+	q := &n.vcq[gp*n.vcs+v]
+	p := q.pop()
+	n.routes[gp*n.vcs+v].lanes = 0
+	if q.n == 0 {
+		n.occ[gp] &^= 1 << v
+	}
+	if u := n.rt.up[gp]; u >= 0 {
+		n.free[u] |= 1 << v
+	}
+	return p
+}
+
+// rc is the route-computation stage for a head packet at router ni. It
+// returns retire=true when the static fail-set severed every route (the
+// packet can never be delivered).
+func (n *network) rc(ni int, pkt *packet) (r route, retire bool) {
 	destNode := int(pkt.dest) / n.conc
 	if ni == destNode {
-		return int(pkt.dest) % n.conc, -1, pkt.class, true, false
+		return route{port: uint16(int(pkt.dest) % n.conc), lanes: 1, class: pkt.class}, false
 	}
 	fs := n.cfg.Faults
 	if fs != nil && fs.RouterFailed(destNode) {
-		return 0, 0, 0, false, true
+		return route{}, true
 	}
+	r = route{lanes: uint16(n.rt.lanes), class: pkt.class}
 	if pkt.phase == 0 {
-		n.cand = n.topo.ViaCandidates(n.cand[:0], ni, int(pkt.via))
+		r.port = n.rt.viaPort[ni*n.rt.vias+int(pkt.via)]
 	} else {
-		n.cand = n.topo.RouteCandidates(n.cand[:0], ni, destNode)
-	}
-	// Reroute around failures: drop dead lanes, keeping the surviving
-	// lanes of the bundle. The fail-set's per-bundle budget guarantees
-	// link faults alone never empty a candidate set; router faults can,
-	// and then the flow is dead.
-	live := n.cand
-	if fs != nil {
-		live = live[:0]
-		for _, o := range n.cand {
-			if fs.LinkFailed(ni, o) {
-				continue
-			}
-			if nb, _ := n.topo.LinkDest(ni, o); fs.RouterFailed(nb) {
-				continue
-			}
-			live = append(live, o)
-		}
-		if len(live) == 0 {
-			return 0, 0, 0, false, true
-		}
-	}
-	// Seed-derived lane tie-break (the flow hash is derived from the
-	// run seed at injection), then first credited lane in rotation so
-	// backpressure on one lane spills to its siblings.
-	start := (int(pkt.flow) + int(pkt.hops)) % len(live)
-	for k := 0; k < len(live); k++ {
-		o := live[(start+k)%len(live)]
-		nb, inPort := n.topo.LinkDest(ni, o)
-		ca := n.topo.ClassAfter(int(pkt.class), ni, o)
-		if pkt.phase == 1 && pkt.via >= 0 && n.topo.AtVia(ni, int(pkt.via)) {
+		r.port = n.rt.minPort[ni*n.rt.nodes+destNode]
+		if pkt.via >= 0 && n.rt.viaOf[ni] == int(pkt.via) {
 			// Dateline: the class bump happens on departure FROM the
 			// waypoint, not on the hop into it, so each grid class band
 			// carries one uninterrupted dimension-ordered route segment
@@ -412,22 +466,77 @@ func (n *network) route(ni int, pkt *packet) (out, downVC int, downClass uint8, 
 			// mix the tail of phase 0 into the class-1 band and admit
 			// Y->X dependencies there — a real deadlock, caught by
 			// TestSaturationTerminates when tried.
-			ca += n.topo.ViaBump()
-		}
-		down := &n.nodes[nb]
-		base := inPort * n.vcs
-		for v := n.bandLo[ca]; v < n.bandHi[ca]; v++ {
-			if down.vcq[base+v].n+int(down.resv[base+v]) < n.cfg.VCBufPkts {
-				return o, v, uint8(ca), true, false
-			}
+			r.class += uint8(n.topo.ViaBump())
 		}
 	}
-	return 0, 0, 0, false, false
+	if n.dead != nil {
+		// Reroute around failures: only the surviving lanes of the
+		// bundle are candidates. The fail-set's per-bundle budget
+		// guarantees link faults alone never empty a candidate set;
+		// router faults can, and then the flow is dead.
+		r.lanes = 0
+		base := ni*n.radix + int(r.port)
+		for _, dead := range n.dead[base : base+n.rt.lanes] {
+			if !dead {
+				r.lanes++
+			}
+		}
+		if r.lanes == 0 {
+			return route{}, true
+		}
+	}
+	// Seed-derived lane tie-break (the flow hash is derived from the run
+	// seed at injection): va tries the lanes in rotation from here, so
+	// backpressure on one lane spills to its siblings.
+	r.start = uint16((int(pkt.flow) + int(pkt.hops)) % int(r.lanes))
+	return r, false
+}
+
+// va is the VC-allocation stage for a routed head at the router whose
+// ports start at global id pid: the first candidate lane, in rotation
+// from the route's start, whose downstream class band has a credit,
+// and the lowest such VC. ok is false when every lane lacks credit this
+// cycle (the packet holds). Ejection needs no credit.
+func (n *network) va(pid int, r route) (out, downVC int, downClass uint8, ok bool) {
+	if int(r.port) < n.conc {
+		return int(r.port), -1, r.class, true
+	}
+	base := pid + int(r.port)
+	j := int(r.start)
+	for k := 0; k < int(r.lanes); k++ {
+		o := base + j
+		if n.dead != nil {
+			o = n.liveLane(base, j)
+		}
+		ca := r.class + n.rt.bump[o]
+		if f := n.free[o] & n.bandMask[ca]; f != 0 {
+			return o - pid, bits.TrailingZeros64(f), ca, true
+		}
+		if j++; j == int(r.lanes) {
+			j = 0
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// liveLane returns the global id of the j-th surviving lane of the
+// bundle whose first lane is base.
+func (n *network) liveLane(base, j int) int {
+	o := base
+	for ; n.dead[o] || j > 0; o++ {
+		if !n.dead[o] {
+			j--
+		}
+	}
+	return o
 }
 
 func (n *network) run() (Result, error) {
 	cfg := n.cfg
 	obsOn := cfg.Obs != nil
+	// Per-hop histograms and per-link counters are created lazily, and
+	// only when a registry can hold them.
+	metricsOn := obsOn && cfg.Obs.Metrics != nil
 	n.rec = cfg.Obs.Rec()
 	n.mInjected = cfg.Obs.Counter("fabric.packets.injected")
 	n.mDelivered = cfg.Obs.Counter("fabric.packets.delivered")
@@ -438,7 +547,7 @@ func (n *network) run() (Result, error) {
 	n.mDead = cfg.Obs.Counter("fabric.packets.dead")
 	n.mLatency = cfg.Obs.Histogram("fabric.latency.cycles", 4, 4096)
 	cfg.Obs.Gauge("fabric.offered.load").Set(cfg.Load)
-	if obsOn {
+	if metricsOn {
 		n.linkBusy = make([]*obs.Counter, len(n.nodes)*n.radix)
 	}
 
@@ -492,6 +601,7 @@ func (n *network) run() (Result, error) {
 		n.rel = n.rel[:0]
 		for ni := range n.nodes {
 			nd := &n.nodes[ni]
+			pid := ni * n.radix
 			for in := range nd.active {
 				if !nd.active[in] {
 					continue
@@ -501,12 +611,12 @@ func (n *network) run() (Result, error) {
 					continue
 				}
 				nd.active[in] = false
-				n.rel = append(n.rel, ni*n.radix+in)
-				pkt := nd.vcq[in*n.vcs+nd.connVC[in]].pop()
+				n.rel = append(n.rel, pid+in)
+				pkt := n.popVC(pid+in, nd.connVC[in])
 				n.inNet--
 				pkt.hops++
 				out := nd.connOut[in]
-				if obsOn && out >= n.conc {
+				if metricsOn && out >= n.conc {
 					n.linkBusyCounter(ni, out).Add(int64(cfg.PacketFlits) + 1)
 				}
 				if out < n.conc {
@@ -524,21 +634,19 @@ func (n *network) run() (Result, error) {
 					n.tDelivered.Inc()
 					n.tFlits.Add(int64(cfg.PacketFlits))
 					n.mLatency.Observe(float64(lat))
-					if obsOn {
+					if metricsOn {
 						n.hopHistFor(int(pkt.hops)).Observe(float64(lat))
 					}
 					n.rec.Record(cycle, obs.EvEject, int(pkt.dest), int(pkt.dest), int(lat))
 					continue
 				}
-				nb, inPort := n.topo.LinkDest(ni, out)
+				dp := n.rt.down[pid+out]
 				pkt.class = nd.downClass[in]
-				if pkt.phase == 0 && n.topo.AtVia(nb, int(pkt.via)) {
+				if pkt.phase == 0 && n.rt.viaOf[dp/n.radix] == int(pkt.via) {
 					pkt.phase = 1
 				}
-				down := &n.nodes[nb]
-				slot := inPort*n.vcs + nd.downVC[in]
-				down.vcq[slot].push(pkt)
-				down.resv[slot]--
+				n.pushVC(dp, nd.downVC[in], pkt)
+				n.resv[dp*n.vcs+nd.downVC[in]]--
 				n.inNet++
 			}
 		}
@@ -551,33 +659,43 @@ func (n *network) run() (Result, error) {
 				continue // fail-stop: the router arbitrates nothing
 			}
 			nd := &n.nodes[ni]
+			pid := ni * n.radix
 			for in := range nd.req {
 				nd.req[in] = -1
-				if nd.active[in] {
+				gp := pid + in
+				if nd.active[in] || n.occ[gp] == 0 {
 					continue
 				}
-				for k := 0; k < n.vcs; k++ {
-					v := (nd.rr[in] + k) % n.vcs
-					q := &nd.vcq[in*n.vcs+v]
-					if q.n == 0 {
-						continue
+				// Rotate the occupied VCs so bit k is VC (rr+k) mod vcs:
+				// the round-robin scan order.
+				rr, occ := nd.rr[in], n.occ[gp]
+				for pend := (occ>>rr | occ<<(n.vcs-rr)) & n.vcMask; pend != 0; pend &= pend - 1 {
+					v := rr + bits.TrailingZeros64(pend)
+					if v >= n.vcs {
+						v -= n.vcs
 					}
-					pkt := q.peek()
-					out, dvc, dclass, ok, retire := n.route(ni, pkt)
-					if retire {
-						dead := q.pop()
-						n.inNet--
-						n.deadTotal++
-						n.lastActivity = cycle
-						n.mDead.Inc()
-						n.tDead.Inc()
-						n.rec.Record(cycle, obs.EvDeadFlow, ni*n.radix+in, int(dead.dest), int(cycle-dead.birth))
-						continue
+					slot := gp*n.vcs + v
+					if n.routes[slot].lanes == 0 {
+						r, retire := n.rc(ni, n.vcq[slot].peek())
+						if retire {
+							dead := n.popVC(gp, v)
+							n.inNet--
+							n.deadTotal++
+							n.lastActivity = cycle
+							n.mDead.Inc()
+							n.tDead.Inc()
+							n.rec.Record(cycle, obs.EvDeadFlow, gp, int(dead.dest), int(cycle-dead.birth))
+							continue
+						}
+						n.routes[slot] = r
 					}
+					out, dvc, dclass, ok := n.va(pid, n.routes[slot])
 					if !ok {
 						continue
 					}
-					nd.rr[in] = (v + 1) % n.vcs
+					if nd.rr[in] = v + 1; nd.rr[in] == n.vcs {
+						nd.rr[in] = 0
+					}
 					nd.req[in] = out
 					nd.connVC[in] = v
 					nd.connOut[in] = out
@@ -598,8 +716,13 @@ func (n *network) run() (Result, error) {
 				nd.active[g.In] = true
 				nd.remaining[g.In] = cfg.PacketFlits
 				if g.Out >= n.conc {
-					nb, inPort := n.topo.LinkDest(ni, g.Out)
-					n.nodes[nb].resv[inPort*n.vcs+nd.downVC[g.In]]++
+					// The reserved credit may have been the downstream
+					// VC's last: mirror that at this output.
+					u, dvc := pid+g.Out, nd.downVC[g.In]
+					slot := n.rt.down[u]*n.vcs + dvc
+					if n.resv[slot]++; n.vcq[slot].n+int(n.resv[slot]) >= cfg.VCBufPkts {
+						n.free[u] &^= 1 << dvc
+					}
 				}
 				n.lastActivity = cycle
 				n.mWins.Inc()
@@ -665,14 +788,14 @@ func (n *network) run() (Result, error) {
 			}
 			if s.q.n > 0 {
 				ni, port := n.nodeOfCore(core)
-				nd := &n.nodes[ni]
-				base := port * n.vcs
-				for v := n.bandLo[0]; v < n.bandHi[0] && s.q.n > 0; v++ {
-					if nd.vcq[base+v].full() {
+				gp := ni*n.radix + port
+				for band := n.bandMask[0]; band != 0 && s.q.n > 0; band &= band - 1 {
+					v := bits.TrailingZeros64(band)
+					if n.vcq[gp*n.vcs+v].full() {
 						continue
 					}
 					p := s.q.pop()
-					nd.vcq[base+v].push(p)
+					n.pushVC(gp, v, p)
 					n.inNet++
 					n.rec.Record(cycle, obs.EvVCAlloc, core, int(p.dest), v)
 				}
@@ -716,42 +839,27 @@ func (n *network) run() (Result, error) {
 }
 
 // hopHistFor returns (creating lazily) the per-hop-count latency
-// histogram. Only called when an observer is attached.
+// histogram. Only called when the observer carries a metrics registry.
 func (n *network) hopHistFor(hops int) *obs.Histogram {
 	for hops >= len(n.hopHist) {
 		n.hopHist = append(n.hopHist, nil)
 	}
 	if n.hopHist[hops] == nil {
 		n.hopHist[hops] = n.cfg.Obs.Histogram(fmt.Sprintf("fabric.latency.hops=%02d", hops), 4, 4096)
-		if n.hopHist[hops] == nil {
-			// No metrics registry attached: cache a no-op histogram so
-			// the lookup stays cheap.
-			n.hopHist[hops] = noopHist
-		}
 	}
 	return n.hopHist[hops]
 }
 
-// noopHist absorbs per-hop observations when the observer carries no
-// metrics registry; Observe on it is harmless.
-var noopHist = &obs.Histogram{}
-
 // linkBusyCounter returns (creating lazily) the busy-cycle counter for
-// output port out of router ni. Only called when an observer is
-// attached; links that never carry traffic never appear.
+// output port out of router ni. Only called when the observer carries a
+// metrics registry; links that never carry traffic never appear.
 func (n *network) linkBusyCounter(ni, out int) *obs.Counter {
 	id := ni*n.radix + out
 	if n.linkBusy[id] == nil {
-		c := n.cfg.Obs.Counter(fmt.Sprintf("fabric.link.busy[n%03d.p%02d]", ni, out))
-		if c == nil {
-			c = noopCounter
-		}
-		n.linkBusy[id] = c
+		n.linkBusy[id] = n.cfg.Obs.Counter(fmt.Sprintf("fabric.link.busy[n%03d.p%02d]", ni, out))
 	}
 	return n.linkBusy[id]
 }
-
-var noopCounter = &obs.Counter{}
 
 // LoadSweep runs the configuration at each load on at most workers
 // concurrent simulations and returns results in load order. Each point

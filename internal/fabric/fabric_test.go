@@ -143,6 +143,37 @@ func TestObsDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestLoadSweepObservedRecorderOnly runs a parallel observed sweep whose
+// observers carry a trace recorder but no metrics registry: the lazily
+// created per-hop and per-link sinks must resolve to nothing rather
+// than to shared writable state (run it under -race), and observing
+// must not perturb the results.
+func TestLoadSweepObservedRecorderOnly(t *testing.T) {
+	base := baseConfig(Mesh{W: 4, H: 4, Conc: 2, Lanes: 1})
+	base.Warmup, base.Measure = 200, 1000
+	loads := []float64{0.1, 0.2, 0.3, 0.4}
+	want, err := LoadSweep(base, loads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*obs.Recorder, len(loads))
+	got, err := LoadSweepObserved(base, loads, 4, func(i int) *obs.Observer {
+		recs[i] = obs.NewRecorder(256)
+		return &obs.Observer{Trace: recs[i]}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorder-only observers perturbed the sweep:\n%+v\n%+v", got, want)
+	}
+	for i, r := range recs {
+		if len(r.Events()) == 0 {
+			t.Fatalf("point %d recorded no events", i)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := baseConfig(Mesh{W: 2, H: 2, Conc: 2, Lanes: 1})
 	cases := []struct {
@@ -162,6 +193,7 @@ func TestConfigValidation(t *testing.T) {
 		{"unbalanced dragonfly", func(c *Config) {
 			c.Topo = Dragonfly{Groups: 4, GroupSize: 2, GlobalPorts: 2, Conc: 2, Lanes: 1}
 		}},
+		{"more VCs than a credit mask holds", func(c *Config) { c.VCs = 65 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/reprolab/hirise/internal/traffic"
@@ -185,5 +186,47 @@ func TestFaultedRunsStayDeterministic(t *testing.T) {
 	}
 	if res.DeadFlows == 0 {
 		t.Fatal("hotspot at a dead router retired nothing")
+	}
+}
+
+// TestDeepBuffersUnderFaults saturates faulted fabrics with multi-packet
+// VC buffers and the checker on. Rerouting draws candidates from the
+// surviving lanes only and dead flows pop mid-buffer, so this is where a
+// route memo or credit mirror that misses a buffer change would show:
+// the checker compares both against the ground truth every scan, and the
+// watchdog turns any resulting wedge into an error.
+func TestDeepBuffersUnderFaults(t *testing.T) {
+	topos := []struct {
+		name string
+		topo Topology
+	}{
+		{"mesh3x3", Mesh{W: 3, H: 3, Conc: 2, Lanes: 2}},
+		{"fbfly3x3", FlattenedButterfly{W: 3, H: 3, Conc: 2, Lanes: 2}},
+		{"dragonfly5x2", Dragonfly{Groups: 5, GroupSize: 2, GlobalPorts: 2, Conc: 2, Lanes: 2}},
+	}
+	for _, tc := range topos {
+		fs, err := FaultSpec{Seed: 11, FailLinks: 6, FailRouters: 1}.Build(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []Routing{Minimal, Valiant} {
+			for _, buf := range []int{2, 3} {
+				t.Run(fmt.Sprintf("%s/%v/buf=%d", tc.name, r, buf), func(t *testing.T) {
+					cfg := baseConfig(tc.topo)
+					cfg.Routing = r
+					cfg.Faults = fs
+					cfg.Load = 1.0
+					cfg.Warmup, cfg.Measure = 500, 3000
+					cfg.VCBufPkts = buf
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Delivered == 0 || res.DeadFlows == 0 {
+						t.Fatalf("delivered %d, dead flows %d: want both under a router fault", res.Delivered, res.DeadFlows)
+					}
+				})
+			}
+		}
 	}
 }

@@ -107,6 +107,9 @@ type Topology interface {
 	// waypoint (phase-0 routing; AtVia(node,via) must be false).
 	ViaCandidates(dst []int, node, via int) []int
 
+	// vias returns the waypoint count: ValiantVia draws from [0, vias).
+	vias() int
+
 	// wired reports whether a link output port actually carries a link:
 	// mesh edge routers have dangling direction ports that routing never
 	// uses, and the fault plane must not waste fail-set budget on them.
@@ -260,6 +263,9 @@ func (m Mesh) AtVia(node, via int) bool { return node == via }
 func (m Mesh) ViaCandidates(dst []int, node, via int) []int {
 	return m.RouteCandidates(dst, node, via)
 }
+
+// vias implements Topology: every router is a waypoint.
+func (m Mesh) vias() int { return m.Nodes() }
 
 // wired implements Topology: edge routers' outward-facing direction
 // ports dangle.
@@ -426,6 +432,9 @@ func (f FlattenedButterfly) AtVia(node, via int) bool { return node == via }
 func (f FlattenedButterfly) ViaCandidates(dst []int, node, via int) []int {
 	return f.RouteCandidates(dst, node, via)
 }
+
+// vias implements Topology: every router is a waypoint.
+func (f FlattenedButterfly) vias() int { return f.Nodes() }
 
 // wired implements Topology: skip-self indexing leaves no dangling port.
 func (f FlattenedButterfly) wired(_, _ int) bool { return true }

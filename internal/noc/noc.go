@@ -280,23 +280,16 @@ func (n *Network) pickRoute(idx int, pkt packet) int {
 }
 
 // hopHistFor returns (creating lazily) the per-hop-count latency
-// histogram. Only called when an observer is attached.
+// histogram. Only called when the observer carries a metrics registry.
 func (n *Network) hopHistFor(hops int) *obs.Histogram {
 	for hops >= len(n.hopHist) {
 		n.hopHist = append(n.hopHist, nil)
 	}
 	if n.hopHist[hops] == nil {
-		h := n.cfg.Obs.Histogram(fmt.Sprintf("noc.latency.hops=%02d", hops), 8, 8192)
-		if h == nil {
-			h = noopHist // observer without a metrics registry
-		}
-		n.hopHist[hops] = h
+		n.hopHist[hops] = n.cfg.Obs.Histogram(fmt.Sprintf("noc.latency.hops=%02d", hops), 8, 8192)
 	}
 	return n.hopHist[hops]
 }
-
-// noopHist absorbs observations when the observer has no registry.
-var noopHist = &obs.Histogram{}
 
 // Run drives the network for the configured windows. Traffic is uniform
 // random over all cores at the given load (packets/cycle/core).
@@ -318,7 +311,9 @@ const ctxCheckInterval = 1024
 func (n *Network) RunCtx(ctx context.Context, load float64) (Result, error) {
 	cfg := n.cfg
 	conc := n.topo.Concentration()
-	obsOn := cfg.Obs != nil
+	// Per-hop histograms are created lazily, and only when a registry
+	// can hold them.
+	metricsOn := cfg.Obs != nil && cfg.Obs.Metrics != nil
 	mInjected := cfg.Obs.Counter("noc.packets.injected")
 	mDelivered := cfg.Obs.Counter("noc.packets.delivered")
 	mDropped := cfg.Obs.Counter("noc.packets.dropped")
@@ -392,7 +387,7 @@ func (n *Network) RunCtx(ctx context.Context, load float64) (Result, error) {
 				}
 				mDelivered.Inc()
 				mLatency.Observe(float64(lat))
-				if obsOn {
+				if metricsOn {
 					n.hopHistFor(pkt.hops).Observe(float64(lat))
 				}
 				continue

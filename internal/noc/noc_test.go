@@ -278,6 +278,33 @@ func TestSweepWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecorderOnlyObservers runs networks in parallel whose
+// observers carry a trace recorder but no metrics registry: per-hop
+// histograms must resolve to nothing rather than to shared writable
+// state (run it under -race).
+func TestConcurrentRecorderOnlyObservers(t *testing.T) {
+	loads := []float64{0.05, 0.1, 0.2, 0.3}
+	out := make([]Result, len(loads))
+	pool.Do(len(loads), 4, func(i int) {
+		cfg := smallMesh(3, 3, 2, 1)
+		cfg.Obs = &obs.Observer{Trace: obs.NewRecorder(256)}
+		n, err := New(cfg)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = n.Run(loads[i])
+	})
+	for i, load := range loads {
+		n, err := New(smallMesh(3, 3, 2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := n.Run(load); out[i] != want {
+			t.Fatalf("load %v: recorder-only observer perturbed the run:\n%+v\n%+v", load, out[i], want)
+		}
+	}
+}
+
 func TestObsDoesNotPerturbNoc(t *testing.T) {
 	run := func(o *obs.Observer) Result {
 		cfg := smallMesh(3, 3, 2, 1)

@@ -193,7 +193,7 @@ func (r *Request) sweepFactories() (func() sim.Switch, func() sim.Traffic, error
 	case "folded":
 		mkSwitch = func() sim.Switch { return crossbar.NewFolded(r.Radix, r.Layers) }
 	case "hirise":
-		if _, err := core.New(cfg); err != nil {
+		if err := core.Validate(cfg); err != nil {
 			return nil, nil, err
 		}
 		mkSwitch = func() sim.Switch {
