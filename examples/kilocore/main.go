@@ -23,9 +23,8 @@ func main() {
 	fmt.Printf("Fig 13 composition: %dx%d mesh of Hi-Rise 64 switches = %d cores\n\n",
 		*meshW, *meshW, cores)
 
-	hiriseMesh := hirise.MeshConfig{
-		MeshW: *meshW, MeshH: *meshW,
-		Concentration: 48, LinkPorts: 4,
+	hiriseMesh := hirise.FabricConfig{
+		Topo: hirise.FabricMesh{W: *meshW, H: *meshW, Conc: 48, Lanes: 4},
 		NewSwitch: func() hirise.SimSwitch {
 			sw, err := hirise.New(hrCfg)
 			if err != nil {
@@ -33,7 +32,6 @@ func main() {
 			}
 			return sw
 		},
-		Warmup: 5000, Measure: 20000, Seed: 1,
 	}
 
 	// A flat mesh of radix-7 routers with the same core count needs
@@ -43,29 +41,31 @@ func main() {
 		flatW++
 	}
 	flatCost := hirise.CostOf(hirise.Config{Radix: 7, Layers: 1}, tech)
-	flatMesh := hirise.MeshConfig{
-		MeshW: flatW, MeshH: flatW,
-		Concentration: 3, LinkPorts: 1,
+	flatMesh := hirise.FabricConfig{
+		Topo:      hirise.FabricMesh{W: flatW, H: flatW, Conc: 3, Lanes: 1},
 		NewSwitch: func() hirise.SimSwitch { return hirise.New2D(7) },
-		Warmup:    5000, Measure: 20000, Seed: 1,
 	}
 
 	fmt.Printf("%-24s %8s %8s %10s %12s\n", "load(pkt/core/cycle)", "hops", "lat(ns)", "pkt/cycle", "E/pkt(pJ)")
 	for _, load := range []float64{0.002, 0.005, 0.01} {
 		for _, tc := range []struct {
 			name string
-			cfg  hirise.MeshConfig
+			cfg  hirise.FabricConfig
 			ghz  float64
 			epj  float64
 		}{
 			{"Hi-Rise mesh", hiriseMesh, hrCost.FreqGHz, hrCost.EnergyPJ},
 			{fmt.Sprintf("flat %dx%d mesh", flatW, flatW), flatMesh, flatCost.FreqGHz, flatCost.EnergyPJ},
 		} {
-			m, err := hirise.NewMesh(tc.cfg)
+			cfg := tc.cfg
+			cfg.Traffic = hirise.UniformTraffic{Radix: cfg.Topo.Nodes() * cfg.Topo.Concentration()}
+			cfg.Load = load
+			cfg.VCs, cfg.VCBufPkts, cfg.Check = 1, 4, true
+			cfg.Warmup, cfg.Measure, cfg.Seed = 5000, 20000, 1
+			r, err := hirise.SimulateFabric(cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			r := m.Run(load)
 			fmt.Printf("%.3f %-18s %8.2f %8.2f %10.2f %12.0f\n",
 				load, tc.name, r.AvgHops, r.AvgLatency/tc.ghz, r.AcceptedPackets, r.AvgHops*4*tc.epj)
 		}

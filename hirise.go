@@ -37,7 +37,6 @@ import (
 	"github.com/reprolab/hirise/internal/fabric"
 	"github.com/reprolab/hirise/internal/fault"
 	"github.com/reprolab/hirise/internal/manycore"
-	"github.com/reprolab/hirise/internal/noc"
 	"github.com/reprolab/hirise/internal/obs"
 	"github.com/reprolab/hirise/internal/phys"
 	"github.com/reprolab/hirise/internal/sched"
@@ -476,27 +475,6 @@ func Benchmarks() []Benchmark { return trace.Catalog() }
 
 // Mixes returns the paper's eight Table VI workload mixes.
 func Mixes() []Mix { return trace.TableVIMixes() }
-
-// NoC composition (paper §VI-E, Fig 13).
-type (
-	// MeshConfig describes a 2D mesh of switches (Hi-Rise or crossbar
-	// nodes) with concentration and credit-based flow control.
-	MeshConfig = noc.Config
-	// Mesh is one mesh network instance.
-	Mesh = noc.Network
-	// MeshResult reports a mesh simulation.
-	MeshResult = noc.Result
-	// Topology wires a network of switches; MeshTopology and
-	// FlattenedButterflyTopology are the built-in instances.
-	Topology = noc.Topology
-	// MeshTopology is the Fig 13 2D mesh.
-	MeshTopology = noc.Mesh
-	// FlattenedButterflyTopology is the §VI-E comparison topology.
-	FlattenedButterflyTopology = noc.FlattenedButterfly
-)
-
-// NewMesh builds a mesh network-on-chip from the configuration.
-func NewMesh(cfg MeshConfig) (*Mesh, error) { return noc.New(cfg) }
 
 // Multi-switch fabric (internal/fabric): a first-class interconnect
 // simulator where every router is a full sim.Switch wired by a pluggable

@@ -88,17 +88,31 @@ func TestFacadeManycore(t *testing.T) {
 	}
 }
 
+// TestFacadeMesh runs the Fig 13 composition through the facade: a
+// concentrated mesh whose routers are Hi-Rise switches, with kilocore's
+// one 4-packet buffer per input and the invariant checker on.
 func TestFacadeMesh(t *testing.T) {
-	m, err := hirise.NewMesh(hirise.MeshConfig{
-		MeshW: 2, MeshH: 2, Concentration: 4, LinkPorts: 1,
-		NewSwitch: func() hirise.SimSwitch { return hirise.New2D(8) },
-		Warmup:    500, Measure: 2000, Seed: 1,
+	topo := hirise.FabricMesh{W: 2, H: 2, Conc: 48, Lanes: 4}
+	res, err := hirise.SimulateFabric(hirise.FabricConfig{
+		Topo: topo,
+		NewSwitch: func() hirise.SimSwitch {
+			sw, err := hirise.New(hirise.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sw
+		},
+		Traffic: hirise.UniformTraffic{Radix: topo.Nodes() * topo.Conc},
+		Load:    0.01,
+		VCs:     1, VCBufPkts: 4,
+		Warmup: 500, Measure: 2000, Seed: 1,
+		Check: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := m.Run(0.02); r.Delivered == 0 {
-		t.Fatal("mesh made no progress")
+	if res.Delivered == 0 {
+		t.Fatalf("Hi-Rise mesh delivered nothing: %+v", res)
 	}
 }
 

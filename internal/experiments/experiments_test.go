@@ -531,10 +531,24 @@ func TestKilocoreClaims(t *testing.T) {
 	if hops(1) > 3.01 {
 		t.Errorf("flattened butterfly hops %.2f exceed its diameter bound", hops(1))
 	}
+	if hops(1) >= hops(0) {
+		t.Errorf("flattened butterfly (%.2f hops) should beat the Hi-Rise mesh (%.2f)", hops(1), hops(0))
+	}
 	// Switch-traversal energy per packet: Hi-Rise mesh lowest (the
 	// §VI-E power claim), flat mesh worst.
 	e := func(i int) float64 { return atof(t, tb.Rows[i][5]) }
 	if !(e(0) < e(1) && e(1) < e(2)) {
 		t.Errorf("energy ordering broken: hirise %.0f, fbfly %.0f, mesh %.0f", e(0), e(1), e(2))
+	}
+	// The Fig 13 performance ranking: saturation throughput flat mesh >
+	// flattened butterfly > Hi-Rise mesh, and the flattened butterfly
+	// has the lowest latency at 1% load.
+	tput := func(i int) float64 { return atof(t, tb.Rows[i][6]) }
+	if !(tput(2) > tput(1) && tput(1) > tput(0)) {
+		t.Errorf("saturation ordering broken: hirise %.1f, fbfly %.1f, mesh %.1f", tput(0), tput(1), tput(2))
+	}
+	lat := func(i int) float64 { return atof(t, tb.Rows[i][4]) }
+	if !(lat(1) < lat(0) && lat(1) < lat(2)) {
+		t.Errorf("flattened butterfly latency %.2f ns not the lowest (hirise %.2f, mesh %.2f)", lat(1), lat(0), lat(2))
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/reprolab/hirise/internal/core"
 	"github.com/reprolab/hirise/internal/sim"
+	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/traffic"
 )
 
@@ -65,6 +67,37 @@ func TestSaturationTerminates(t *testing.T) {
 			}
 		}
 	}
+	// The paper's Fig 13 router: Hi-Rise switches (radix 64, 4 layers,
+	// CLRG) in a concentrated mesh, with the one 4-packet buffer per
+	// input the kilocore campaign uses. A full backlog must stay live,
+	// drop at the sources, and deliver no more than one packet per
+	// PacketFlits+1 cycles per core.
+	t.Run("hirise-mesh2x2/min/uniform", func(t *testing.T) {
+		mesh := Mesh{W: 2, H: 2, Conc: 48, Lanes: 4}
+		cfg := baseConfig(mesh)
+		cfg.NewSwitch = func() sim.Switch {
+			sw, err := core.New(topo.Default64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sw
+		}
+		cfg.Load = 1.0
+		cfg.Warmup = 500
+		cfg.Measure = 3000
+		cfg.PacketFlits, cfg.VCs, cfg.VCBufPkts = 4, 1, 4
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered == 0 || !res.Saturated() {
+			t.Fatalf("full backlog through Hi-Rise routers: %+v", res)
+		}
+		cores := float64(mesh.Nodes() * mesh.Conc)
+		if perCore := res.AcceptedPackets / cores; perCore > 1/float64(cfg.PacketFlits+1) {
+			t.Fatalf("per-core rate %.3f above the one-packet-per-%d-cycles bound", perCore, cfg.PacketFlits+1)
+		}
+	})
 }
 
 // TestDragonflyGroupShift pins the dragonfly's hardest minimal-routing

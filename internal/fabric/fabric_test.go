@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/hirise/internal/obs"
+	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/tele"
 	"github.com/reprolab/hirise/internal/traffic"
 )
@@ -174,6 +175,34 @@ func TestLoadSweepObservedRecorderOnly(t *testing.T) {
 	}
 }
 
+// TestFlowHashSpreadsSameDestAcrossLanes pins the lane tie-break: it
+// hashes the seed-derived flow, not the destination, so packets toward
+// one core spread over a multi-lane bundle instead of serializing on a
+// single lane.
+func TestFlowHashSpreadsSameDestAcrossLanes(t *testing.T) {
+	mesh := Mesh{W: 2, H: 1, Conc: 2, Lanes: 4}
+	cfg := baseConfig(mesh)
+	cfg.Defaults()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := newNetwork(cfg)
+	starts := map[uint16]bool{}
+	for i := 0; i < 64; i++ {
+		pkt := packet{
+			dest:  3, // a core on router 1
+			via:   -1,
+			phase: 1,
+			flow:  uint32(pool.SeedFor(cfg.Seed, 0, uint64(i))),
+		}
+		r, _ := n.rc(0, &pkt)
+		starts[r.start] = true
+	}
+	if len(starts) < 2 {
+		t.Fatalf("64 same-destination flows all start on lane %v", starts)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := baseConfig(Mesh{W: 2, H: 2, Conc: 2, Lanes: 1})
 	cases := []struct {
@@ -184,6 +213,8 @@ func TestConfigValidation(t *testing.T) {
 		{"no traffic", func(c *Config) { c.Traffic = nil }},
 		{"negative load", func(c *Config) { c.Load = -1 }},
 		{"bad mesh", func(c *Config) { c.Topo = Mesh{W: 0, H: 2, Conc: 2, Lanes: 1} }},
+		{"mesh without lanes", func(c *Config) { c.Topo = Mesh{W: 3, H: 3, Conc: 2, Lanes: 0} }},
+		{"fbfly without row links", func(c *Config) { c.Topo = FlattenedButterfly{W: 1, H: 3, Conc: 2, Lanes: 1} }},
 		{"1x1 with lanes", func(c *Config) { c.Topo = Mesh{W: 1, H: 1, Conc: 2, Lanes: 1} }},
 		{"too few VCs for valiant", func(c *Config) {
 			c.Topo = Dragonfly{Groups: 3, GroupSize: 2, GlobalPorts: 1, Conc: 2, Lanes: 1}

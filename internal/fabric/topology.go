@@ -3,8 +3,8 @@
 // other implementation) wired by a pluggable Topology, with credit-based
 // link-level flow control over bounded per-VC input buffers and
 // deadlock freedom by virtual-channel ordering (dateline classes).
-// It scales the paper's §VI-E kilo-core sketch from the side model in
-// internal/noc into a first-class simulator with the same planes as
+// It runs the paper's §VI-E kilo-core composition (the kilocore
+// experiment) as a first-class simulator with the same planes as
 // internal/sim: faults, observability, telemetry, and deterministic
 // parallel sweeps.
 //
@@ -150,11 +150,10 @@ func opposite(dir int) int {
 }
 
 // Mesh is a W×H 2D mesh with XY dimension-ordered routing and Lanes
-// parallel links per direction — the paper's Fig 13 shape, promoted
-// from internal/noc. XY order within a VC class keeps the buffer
-// dependency graph acyclic; Valiant adds a second class at the
-// waypoint dateline (XY to the via in class 0, XY to the destination
-// in class 1).
+// parallel links per direction — the paper's Fig 13 shape. XY order
+// within a VC class keeps the buffer dependency graph acyclic; Valiant
+// adds a second class at the waypoint dateline (XY to the via in class
+// 0, XY to the destination in class 1).
 //
 // The degenerate 1×1 mesh with Lanes 0 is a single switch with no
 // links; it exists so a 1-node fabric can reproduce internal/sim
@@ -301,9 +300,9 @@ func (m Mesh) validate() error {
 
 // FlattenedButterfly is a W×H grid where every router links directly to
 // every other router in its row and in its column: any destination is
-// at most two link hops away (row then column, dimension ordered —
-// promoted from internal/noc). Valiant adds a second class at the
-// waypoint dateline, like the mesh.
+// at most two link hops away (row then column, dimension ordered).
+// Valiant adds a second class at the waypoint dateline, like the mesh.
+// It is the §VI-E comparison topology.
 //
 // Port layout per router: Conc local ports, then (W-1)*Lanes row links
 // (to the other columns in ascending x order, skipping self), then

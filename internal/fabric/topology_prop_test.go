@@ -110,9 +110,32 @@ func TestRouteCandidatesOnShortestPaths(t *testing.T) {
 						continue
 					}
 					checkShortestPaths(t, topo, dist, src, dst)
+					checkDimensionOrder(t, topo, src, dst)
 				}
 			}
 		})
+	}
+}
+
+// checkDimensionOrder asserts the grid topologies' XY order: while the
+// column differs every hop stays in the source's row, and after that it
+// stays in the column. Other topologies pass trivially.
+func checkDimensionOrder(t *testing.T, topo Topology, src, dst int) {
+	t.Helper()
+	var w int
+	switch g := topo.(type) {
+	case Mesh:
+		w = g.W
+	case FlattenedButterfly:
+		w = g.W
+	default:
+		return
+	}
+	for _, o := range topo.RouteCandidates(nil, src, dst) {
+		nb, _ := topo.LinkDest(src, o)
+		if src%w != dst%w && nb/w != src/w || src%w == dst%w && nb%w != src%w {
+			t.Fatalf("route %d -> %d via port %d leaves dimension order at router %d", src, dst, o, nb)
+		}
 	}
 }
 
@@ -142,7 +165,33 @@ func TestLinkDestMirror(t *testing.T) {
 					}
 				}
 			}
+			if f, ok := topo.(FlattenedButterfly); ok {
+				checkFBflyCoverage(t, f)
+			}
 		})
+	}
+}
+
+// checkFBflyCoverage asserts the flattened butterfly's defining wiring:
+// each router's link ports reach exactly the other routers of its row
+// and of its column, Lanes ports each.
+func checkFBflyCoverage(t *testing.T, f FlattenedButterfly) {
+	t.Helper()
+	for node := 0; node < f.Nodes(); node++ {
+		reached := map[int]int{}
+		for out := f.Conc; out < f.Radix(); out++ {
+			nb, _ := f.LinkDest(node, out)
+			reached[nb]++
+		}
+		if len(reached) != f.W-1+f.H-1 {
+			t.Fatalf("router %d links to %d routers, want %d", node, len(reached), f.W-1+f.H-1)
+		}
+		for nb, lanes := range reached {
+			if (nb/f.W == node/f.W) == (nb%f.W == node%f.W) || lanes != f.Lanes {
+				t.Fatalf("router %d reaches router %d over %d lanes, want a row or column peer over %d",
+					node, nb, lanes, f.Lanes)
+			}
+		}
 	}
 }
 

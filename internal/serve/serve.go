@@ -17,7 +17,7 @@
 // Identical submissions share one computation (store singleflight) and
 // later ones are served byte-identical from cache; a DELETE or a
 // server-wide drain timeout cancels the job's context, which the pool /
-// sim / noc layers poll cooperatively, so cancelled work actually
+// sim / fabric layers poll cooperatively, so cancelled work actually
 // releases its workers instead of simulating into the void.
 package serve
 
@@ -206,7 +206,9 @@ func (s *Server) run(j *job) {
 	// The peer fetch lives inside the compute closure so the store's
 	// singleflight covers it too: concurrent submissions of one key make
 	// one cluster round-trip, not one per caller.
+	var ran atomic.Bool
 	data, hit, err := s.store.GetOrCompute(ctx, j.key, func(cctx context.Context) ([]byte, error) {
+		ran.Store(true)
 		if cl := s.cfg.Cluster; cl != nil {
 			if data, from, ok := cl.Fetch(cctx, j.key); ok {
 				s.peerFetched.Add(1)
@@ -219,6 +221,9 @@ func (s *Server) run(j *job) {
 		return s.compute(cctx, j)
 	})
 	stopTele()
+	// A job that joined an identical job's in-flight computation was
+	// served by the store without simulating for itself: a cache hit.
+	hit = hit || (err == nil && !ran.Load())
 	s.statsMu.Lock()
 	s.jobStats.Histogram("serve.job.duration.seconds", 0.5, 40).Observe(time.Since(start).Seconds())
 	s.statsMu.Unlock()

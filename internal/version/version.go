@@ -16,4 +16,5 @@ package version
 //	model-3  first cached release (PR 3): store/serve subsystem landed
 //	model-4  noc lane tie-break rehashed on a seed-derived flow hash
 //	         (kilocore output changes); fabric simulator landed
-const Model = "model-4"
+//	model-5  kilocore runs on fabric; noc deleted
+const Model = "model-5"
