@@ -71,74 +71,10 @@ func comparePerf(cur, base []perfResult, tol float64) []perfDelta {
 	return deltas
 }
 
-// campaignRatioFloor is the batched-over-sequential campaign speedup
-// the gate demands: the lockstep batch engine earns its complexity only
-// while it at least halves campaign wall-clock, at every worker count.
-// Both arms come from the same -perf invocation and are timed in
-// interleaved rounds (see measureCampaigns), so machine drift is
-// largely common-mode; campaignRatioSlack covers what noise remains on
-// fresh runs.
-const campaignRatioFloor = 2.0
-
-// campaignRatioSlack is the measurement-noise band under the floor: a
-// fresh run landing inside [floor·(1−slack), floor) is a soft failure —
-// blocking by default, tolerated under -perf-warn-only exactly like a
-// noisy ns/op sample — while a ratio below the band is hard evidence
-// the batching advantage regressed and fails regardless. The committed
-// baseline file is generated with the strict check, so the pinned claim
-// itself always clears the full floor.
-const campaignRatioSlack = 0.10
-
-// campaignRatioDeltas evaluates the batched-vs-sequential campaign
-// throughput rule within one perf file. Files from before the campaign
-// benchmarks existed (no campaign/ entries at all) pass vacuously; a
-// file with half of a seq/batched pair fails hard, since a silently
-// dropped arm would blind the ratio gate.
-func campaignRatioDeltas(cur []perfResult) []perfDelta {
-	by := make(map[string]perfResult, len(cur))
-	for _, r := range cur {
-		by[r.Name] = r
-	}
-	var deltas []perfDelta
-	for _, par := range []string{"1", "N"} {
-		seq, okSeq := by["campaign/PointsPerSec/seq/parallel="+par]
-		bat, okBat := by["campaign/PointsPerSec/batched/parallel="+par]
-		if !okSeq && !okBat {
-			continue
-		}
-		d := perfDelta{
-			name: "campaign/ratio/parallel=" + par, kind: "ok",
-			curNs: bat.NsPerOp, baseNs: seq.NsPerOp,
-		}
-		switch {
-		case !okSeq || !okBat:
-			d.kind = "hard"
-			d.reason = "campaign seq/batched pair incomplete in new run"
-		case bat.NsPerOp <= 0 || seq.NsPerOp <= 0:
-			d.kind = "hard"
-			d.reason = "campaign benchmark with non-positive ns/op"
-		case bat.NsPerOp*campaignRatioFloor*(1-campaignRatioSlack) > seq.NsPerOp:
-			d.kind = "hard"
-			d.reason = fmt.Sprintf("batched campaign only %.2fx over sequential, floor %.1fx",
-				seq.NsPerOp/bat.NsPerOp, campaignRatioFloor)
-		case bat.NsPerOp*campaignRatioFloor > seq.NsPerOp:
-			d.kind = "soft"
-			d.reason = fmt.Sprintf("batched campaign %.2fx over sequential, inside the noise band under the %.1fx floor",
-				seq.NsPerOp/bat.NsPerOp, campaignRatioFloor)
-		default:
-			d.reason = fmt.Sprintf("batched campaign %.2fx over sequential (floor %.1fx)",
-				seq.NsPerOp/bat.NsPerOp, campaignRatioFloor)
-		}
-		deltas = append(deltas, d)
-	}
-	return deltas
-}
-
 // runPerfCheck loads two -perf JSON files, compares NEW against
 // BASELINE, prints a verdict table to w, and returns an error when the
 // gate fails: always on hard regressions (allocs/op growth, missing
-// benchmarks, a batched campaign arm below campaignRatioFloor), and on
-// soft ns/op regressions too unless warnOnly.
+// benchmarks), and on soft ns/op regressions too unless warnOnly.
 func runPerfCheck(w io.Writer, newPath, basePath string, tol float64, warnOnly bool) error {
 	if tol < 0 {
 		return fmt.Errorf("perf-check: tolerance %v must be >= 0", tol)
@@ -152,7 +88,6 @@ func runPerfCheck(w io.Writer, newPath, basePath string, tol float64, warnOnly b
 		return fmt.Errorf("perf-check baseline: %w", err)
 	}
 	deltas := comparePerf(cur.Benchmarks, base.Benchmarks, tol)
-	deltas = append(deltas, campaignRatioDeltas(cur.Benchmarks)...)
 
 	var hard, soft int
 	fmt.Fprintf(w, "%-40s %-8s %s\n", "benchmark", "verdict", "detail")

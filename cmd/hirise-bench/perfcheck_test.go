@@ -119,89 +119,6 @@ func TestRunPerfCheckFlagsSyntheticRegression(t *testing.T) {
 	}
 }
 
-// TestCampaignRatioRule pins the batched-campaign throughput gate: a
-// batched arm below the noise band under campaignRatioFloor fails hard
-// within a single perf file, a ratio inside the band is a soft failure
-// (warn-only tolerates it, strict mode does not), an incomplete
-// seq/batched pair fails hard, and files from before the campaign
-// benchmarks pass vacuously.
-func TestCampaignRatioRule(t *testing.T) {
-	seq := func(ns float64) perfResult {
-		return perfResult{Name: "campaign/PointsPerSec/seq/parallel=1", NsPerOp: ns}
-	}
-	bat := func(ns float64) perfResult {
-		return perfResult{Name: "campaign/PointsPerSec/batched/parallel=1", NsPerOp: ns}
-	}
-	cases := []struct {
-		name string
-		cur  []perfResult
-		want string // "" = no delta emitted
-	}{
-		{"no campaign benchmarks", []perfResult{{Name: "kernel", NsPerOp: 10}}, ""},
-		{"ratio above floor", []perfResult{seq(100), bat(40)}, "ok"},
-		{"ratio exactly at floor", []perfResult{seq(100), bat(50)}, "ok"},
-		{"ratio in noise band", []perfResult{seq(100), bat(52)}, "soft"},
-		{"ratio below noise band", []perfResult{seq(100), bat(60)}, "hard"},
-		{"batched arm missing", []perfResult{seq(100)}, "hard"},
-		{"sequential arm missing", []perfResult{bat(40)}, "hard"},
-		{"zero ns/op", []perfResult{seq(0), bat(0)}, "hard"},
-	}
-	for _, tc := range cases {
-		deltas := campaignRatioDeltas(tc.cur)
-		if tc.want == "" {
-			if len(deltas) != 0 {
-				t.Errorf("%s: got %d deltas, want none", tc.name, len(deltas))
-			}
-			continue
-		}
-		if len(deltas) != 1 {
-			t.Errorf("%s: got %d deltas, want 1", tc.name, len(deltas))
-			continue
-		}
-		if deltas[0].kind != tc.want {
-			t.Errorf("%s: kind = %q (%s), want %q", tc.name, deltas[0].kind, deltas[0].reason, tc.want)
-		}
-	}
-
-	// The rule is per worker count: a failing parallel=N pair fails the
-	// gate even when the parallel=1 pair is healthy.
-	deltas := campaignRatioDeltas([]perfResult{
-		seq(100), bat(40),
-		{Name: "campaign/PointsPerSec/seq/parallel=N", NsPerOp: 100},
-		{Name: "campaign/PointsPerSec/batched/parallel=N", NsPerOp: 90},
-	})
-	if len(deltas) != 2 || deltas[0].kind != "ok" || deltas[1].kind != "hard" {
-		t.Errorf("per-worker-count rule: deltas = %+v", deltas)
-	}
-
-	// And it feeds the gate: a ratio below the noise band fails
-	// runPerfCheck even against itself and even warn-only (the ratio
-	// needs no baseline), while a ratio inside the band fails strict
-	// mode but passes warn-only — the same treatment as noisy ns/op.
-	slow := writePerfFile(t, "ratio.json", perfFile{
-		Schema:     perfSchema,
-		Benchmarks: []perfResult{seq(100), bat(60)},
-	})
-	var out bytes.Buffer
-	if err := runPerfCheck(&out, slow, slow, 0.25, true); err == nil {
-		t.Error("below-band campaign ratio: want gate failure even with warn-only")
-	}
-	band := writePerfFile(t, "band.json", perfFile{
-		Schema:     perfSchema,
-		Benchmarks: []perfResult{seq(100), bat(52)},
-	})
-	if err := runPerfCheck(&out, band, band, 0.25, false); err == nil {
-		t.Error("in-band campaign ratio: want strict gate failure")
-	}
-	out.Reset()
-	if err := runPerfCheck(&out, band, band, 0.25, true); err != nil {
-		t.Errorf("in-band campaign ratio under warn-only: %v", err)
-	}
-	if !strings.Contains(out.String(), "warn") {
-		t.Errorf("warn-only in-band output missing warning:\n%s", out.String())
-	}
-}
-
 func TestRunPerfCheckRejectsBadInputs(t *testing.T) {
 	good := writePerfFile(t, "good.json", perfFile{
 		Schema:     perfSchema,

@@ -21,11 +21,12 @@ import (
 // cmd/hirise-bench/default.pgo` after significant hot-loop changes.
 //
 // The workload mirrors where campaign wall-clock actually goes, so the
-// compiler optimizes for the same mix CI and users run: the batched and
-// sequential campaign arms on the stock LRG crossbar (the fused lean
-// loop and sim.Run's phase loop), the Hi-Rise CLRG switch through the
-// batch engine's generic backend (core.Arbitrate), and one saturated
-// dragonfly fabric run (routing, credits, and VC arbitration).
+// compiler optimizes for the same mix CI and users run: the
+// single-switch engine on the stock LRG crossbar (fused arbitration)
+// through both campaign arms — a recycled sim.Batch and one sim.Run per
+// replicate — and on the Hi-Rise CLRG switch (core.Arbitrate through
+// the engine), plus one saturated dragonfly fabric run (routing,
+// credits, and VC arbitration).
 func runPGOProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -50,8 +51,8 @@ func runPGOProfile(path string) error {
 func pgoWorkload() error {
 	cfg := campaignCfg()
 
-	// Batched campaign arm: the fused lean loop, arena recycled across
-	// points.
+	// Batched campaign arm: the fused crossbar engine, switch and engine
+	// recycled across points.
 	bt := sim.NewBatch(func() sim.Switch { return crossbar.New(64) }, nil)
 	for round := 0; round < 3; round++ {
 		for point := 0; point < campaignPoints; point++ {
@@ -61,8 +62,7 @@ func pgoWorkload() error {
 		}
 	}
 
-	// Sequential campaign arm: sim.Run's phase loop with a fresh switch
-	// per replicate.
+	// Seq campaign arm: one sim.Run per replicate with a fresh switch.
 	for point := 0; point < campaignPoints; point++ {
 		for _, seed := range campaignSeeds(point) {
 			c := cfg
@@ -74,7 +74,7 @@ func pgoWorkload() error {
 		}
 	}
 
-	// Hi-Rise CLRG through the batch engine's generic backend.
+	// Hi-Rise CLRG: the engine's generic arbitration path.
 	hb := sim.NewBatch(func() sim.Switch {
 		sw, err := core.New(topo.Default64())
 		if err != nil {

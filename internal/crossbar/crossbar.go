@@ -68,8 +68,8 @@ func New(radix int) *Switch {
 // PlainLRG reports whether the switch currently behaves exactly like a
 // stock New(radix) instance: identity-order LRG arbitration at every
 // column, no runtime fault active, and no fairness audit attached. The
-// lockstep batch engine in internal/sim keys its fused arbitration fast
-// path off this — that path re-implements precisely this configuration.
+// single-switch engine in internal/sim keys its fused arbitration path
+// off this — that path re-implements precisely this configuration.
 func (s *Switch) PlainLRG() bool { return s.stockLRG && !s.faultActive && s.audit == nil }
 
 // NewFolded returns the 3D folded baseline: a radix-N switch folded over

@@ -120,6 +120,9 @@ func (r *Request) normalize() error {
 		if r.VCs == 0 {
 			r.VCs = 4
 		}
+		if r.VCs < 1 || r.VCs > 64 {
+			return fmt.Errorf("serve: vcs %d out of range 1..64", r.VCs)
+		}
 		if r.Flits == 0 {
 			r.Flits = 4
 		}

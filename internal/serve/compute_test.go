@@ -23,6 +23,11 @@ func TestLoadsweepSwitchValidation(t *testing.T) {
 			"topo: ports per layer 16 not divisible by channels 3 for input binning"},
 		{"negative radix", Request{Radix: -4},
 			"topo: radix -4 must be positive"},
+		{"too many VCs", Request{VCs: 65},
+			"serve: vcs 65 out of range 1..64"},
+		{"negative VCs", Request{VCs: -1},
+			"serve: vcs -1 out of range 1..64"},
+		{"64 VCs", Request{VCs: 64}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := tc.req

@@ -60,7 +60,7 @@ type checker struct {
 	intro  faultIntrospect
 	xp     xpIntrospect
 	holder channelHolder
-	seen   []map[int64]struct{} // per input: delivered sequence numbers
+	seen   []map[int64]struct{} // per input: ids of delivered packets
 	// injected and delivered count packets over the whole run (warmup
 	// included), unlike the Result counters, so conservation closes.
 	injected, delivered int64
@@ -101,13 +101,16 @@ func (c *checker) checkGrant(cycle int64, in, out int) error {
 	return nil
 }
 
-// recordDelivery verifies per-input sequence numbers are delivered at
-// most once (no duplication by the retransmission protocol).
-func (c *checker) recordDelivery(cycle int64, in int, seq int64) error {
-	if _, dup := c.seen[in][seq]; dup {
-		return fmt.Errorf("sim: invariant violation at cycle %d: input %d packet #%d delivered twice", cycle, in, seq)
+// recordDelivery verifies every packet is delivered at most once (no
+// duplication by the retransmission protocol). id identifies the packet
+// among its input's injections; the engine passes the birth cycle,
+// which is unique per input because an input injects at most one
+// packet per cycle.
+func (c *checker) recordDelivery(cycle int64, in int, id int64) error {
+	if _, dup := c.seen[in][id]; dup {
+		return fmt.Errorf("sim: invariant violation at cycle %d: input %d packet %d delivered twice", cycle, in, id)
 	}
-	c.seen[in][seq] = struct{}{}
+	c.seen[in][id] = struct{}{}
 	c.delivered++
 	return nil
 }

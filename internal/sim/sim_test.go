@@ -7,6 +7,7 @@ import (
 
 	"github.com/reprolab/hirise/internal/core"
 	"github.com/reprolab/hirise/internal/crossbar"
+	"github.com/reprolab/hirise/internal/prng"
 	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/traffic"
 )
@@ -264,10 +265,72 @@ func TestConfigValidation(t *testing.T) {
 		{Switch: crossbar.New(4)},            // no traffic
 		{Switch: crossbar.New(4), Traffic: traffic.Uniform{Radix: 4}, Load: -1},
 		{Switch: crossbar.New(4), Traffic: traffic.Uniform{Radix: 4}, Warmup: -1},
+		{Switch: crossbar.New(4), Traffic: traffic.Uniform{Radix: 4}, VCs: 65}, // past the 64-bit VC mask
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// burstToOutput0 is a closed-form oracle's traffic: at cycle 0, inputs
+// 0..k-1 each inject one packet to output 0, and nothing else is ever
+// injected.
+type burstToOutput0 struct{ k int }
+
+func (b burstToOutput0) Next(in int, cycle int64, _ float64, _ *prng.Source) (int, bool) {
+	return 0, cycle == 0 && in < b.k
+}
+
+// TestSingleOutputBurstClosedForm is an oracle independent of any
+// simulator: k packets injected together toward one output are served
+// one connection at a time. Each waits for its VC refill (cycle 0), an
+// arbitration cycle, then F data cycles, and the output re-arbitrates
+// only after the previous connection's last flit, so the i-th winner
+// (i = 1..k) is delivered i·(F+1) cycles after injection and the mean
+// latency is exactly (F+1)(k+1)/2 — whatever order the arbiter picks.
+func TestSingleOutputBurstClosedForm(t *testing.T) {
+	switches := []struct {
+		name string
+		mk   func() Switch
+	}{
+		{"crossbar-fast", func() Switch { return crossbar.New(64) }},
+		{"folded-fast", func() Switch { return crossbar.NewFolded(64, 4) }},
+		{"hirise-clrg-generic", func() Switch { return hirise(t, 4, topo.CLRG) }},
+	}
+	for _, sw := range switches {
+		for _, F := range []int{1, 4, 8} {
+			for _, k := range []int{1, 2, 3, 5} {
+				cfg := Config{
+					Traffic:     burstToOutput0{k},
+					Load:        1,
+					PacketFlits: F,
+					Warmup:      1, Measure: int64(k*(F+1) + 8), Seed: 3,
+				}
+				// The burst is injected during the 1-cycle warmup, so
+				// Injected (a measurement-window count) stays 0.
+				want := float64((F+1)*(k+1)) / 2
+				check := func(path string, r Result) {
+					t.Helper()
+					if r.Delivered != int64(k) || r.AvgLatency != want {
+						t.Errorf("%s %s F=%d k=%d: delivered %d, mean latency %v; want %d, %v",
+							sw.name, path, F, k, r.Delivered, r.AvgLatency, k, want)
+					}
+				}
+				c := cfg
+				c.Switch = sw.mk()
+				r, err := Run(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("Run", r)
+				rs, err := BatchRun(cfg, sw.mk, nil, []uint64{3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("BatchRun", rs[0])
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package stats provides the measurement machinery shared by the switch
 // simulator and the many-core system model: running summaries, quantile
 // estimation via fixed-width histograms, per-port breakdowns, and
-// throughput accounting over warmup/measurement windows.
+// fairness metrics.
 package stats
 
 import (
@@ -186,39 +186,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.binWidth * float64(len(h.bins))
 }
 
-// Throughput tracks accepted traffic over a measurement window, in units
-// of events (flits or packets) per cycle.
-type Throughput struct {
-	events int64
-	cycles int64
-}
-
-// Record adds n accepted events.
-func (t *Throughput) Record(n int64) { t.events += n }
-
-// Advance adds elapsed cycles to the window.
-func (t *Throughput) Advance(cycles int64) { t.cycles += cycles }
-
-// Events returns the number of recorded events.
-func (t *Throughput) Events() int64 { return t.events }
-
-// Cycles returns the window length.
-func (t *Throughput) Cycles() int64 { return t.cycles }
-
-// Rate returns events per cycle over the window, or 0 when no cycles
-// have elapsed (an empty window offers no rate, not a division error).
-func (t *Throughput) Rate() float64 {
-	if t.cycles == 0 {
-		return 0
-	}
-	return float64(t.events) / float64(t.cycles)
-}
-
-// PerPort bundles a Summary per port plus an aggregate, for Fig 11(a)/(c)
-// style per-input breakdowns.
+// PerPort bundles a Summary per port, for Fig 11(a)/(c) style
+// per-input breakdowns.
 type PerPort struct {
 	Ports []Summary
-	All   Summary
 }
 
 // NewPerPort creates a PerPort for n ports.
@@ -229,7 +200,6 @@ func NewPerPort(n int) *PerPort {
 // Add records an observation for port p.
 func (pp *PerPort) Add(p int, x float64) {
 	pp.Ports[p].Add(x)
-	pp.All.Add(x)
 }
 
 // Reset discards every observation, keeping the port count.
@@ -237,7 +207,6 @@ func (pp *PerPort) Reset() {
 	for i := range pp.Ports {
 		pp.Ports[i].Reset()
 	}
-	pp.All.Reset()
 }
 
 // Means returns the per-port means.

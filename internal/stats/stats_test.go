@@ -119,19 +119,6 @@ func TestHistogramPanicsOnBadShape(t *testing.T) {
 	NewHistogram(0, 10)
 }
 
-func TestThroughput(t *testing.T) {
-	var tp Throughput
-	tp.Record(30)
-	tp.Advance(10)
-	if !almost(tp.Rate(), 3, 1e-12) {
-		t.Errorf("rate %v", tp.Rate())
-	}
-	var empty Throughput
-	if empty.Rate() != 0 {
-		t.Error("empty throughput should be 0")
-	}
-}
-
 func TestPerPort(t *testing.T) {
 	pp := NewPerPort(4)
 	pp.Add(0, 10)
@@ -140,9 +127,6 @@ func TestPerPort(t *testing.T) {
 	means := pp.Means()
 	if !almost(means[0], 15, 1e-12) || means[1] != 0 || !almost(means[3], 5, 1e-12) {
 		t.Errorf("means %v", means)
-	}
-	if pp.All.N() != 3 {
-		t.Errorf("aggregate N %d", pp.All.N())
 	}
 }
 
@@ -258,18 +242,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 	if q := h.Quantile(math.NaN()); q != lo {
 		t.Errorf("NaN q should clamp to 0: %v vs %v", q, lo)
-	}
-}
-
-func TestThroughputZeroCycles(t *testing.T) {
-	var tp Throughput
-	tp.Record(10)
-	if r := tp.Rate(); r != 0 {
-		t.Errorf("zero-cycle window rate = %v, want 0", r)
-	}
-	tp.Advance(5)
-	if r := tp.Rate(); !almost(r, 2, 1e-12) {
-		t.Errorf("rate = %v, want 2", r)
 	}
 }
 
