@@ -86,12 +86,10 @@ func perfSuite() []struct {
 // Campaign-throughput benchmarks: one op is a table4-ci-shaped campaign
 // of campaignPoints points, each point campaignReplicates replicates of
 // a radix-64 LRG crossbar under saturated uniform traffic (the Table IV
-// operating point). Both arms run the same single-switch engine: the
-// seq arm calls sim.Run once per replicate with a fresh switch (and so
-// a fresh engine), while the batched arm drives each point through a
-// recycled sim.Batch. Each arm runs at one worker and at a fixed two,
-// so allocs/op — which the perf gate holds exactly — does not depend
-// on the machine's CPU count.
+// operating point). The arm calls sim.Run once per replicate with a
+// fresh switch. It runs at one worker and at a fixed two, so allocs/op
+// — which the perf gate holds exactly — does not depend on the
+// machine's CPU count.
 //
 // Unlike the hot-kernel suite, the arms are NOT measured as isolated
 // testing.Benchmark runs: on a shared machine minutes of drift between
@@ -137,54 +135,28 @@ func campaignSeqOp(workers int) error {
 	return firstErr
 }
 
-// campaignBatchedArm returns a closure running one batched campaign.
-// Each worker takes a recycled Batch from a free list holding one per
-// worker, so a warmed arm allocates the same on every run (a sync.Pool
-// may miss its per-P cache and build a fresh Batch, which made allocs/op
-// vary between runs).
-func campaignBatchedArm(workers int) func() error {
-	cfg := campaignCfg()
-	free := make(chan *sim.Batch, workers) // sized to the workers: a take never waits
-	for i := 0; i < workers; i++ {
-		free <- sim.NewBatch(func() sim.Switch { return crossbar.New(64) }, nil)
-	}
-	return func() error {
-		var firstErr error
-		pool.Do(campaignPoints, workers, func(point int) {
-			bt := <-free
-			if _, err := bt.Run(cfg, campaignSeeds(point)); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			free <- bt
-		})
-		return firstErr
-	}
-}
-
-// measureCampaigns times the four campaign arms over campaignRounds
-// interleaved rounds (after one untimed warmup round that also warms
-// the batched arms' Batches) and returns one perfResult per arm,
-// in suite order. Allocations are read from runtime.MemStats around
-// each timed op; allocs/op is the fewest any round made, so a round
-// where the runtime allocates for itself (a new goroutine stack or
-// sudog in pool.Do) does not move the exact allocs gate.
+// measureCampaigns times the campaign arms over campaignRounds
+// interleaved rounds (after one untimed warmup round) and returns one
+// perfResult per arm, in suite order. Allocations are read from
+// runtime.MemStats around each timed op; allocs/op is the fewest any
+// round made, so a round where the runtime allocates for itself (a new
+// goroutine stack or sudog in pool.Do) does not move the exact allocs
+// gate.
 func measureCampaigns() ([]perfResult, error) {
 	arms := []struct {
 		name string
 		op   func() error
 	}{
 		{"campaign/PointsPerSec/seq/parallel=1", func() error { return campaignSeqOp(1) }},
-		{"campaign/PointsPerSec/batched/parallel=1", campaignBatchedArm(1)},
 		{"campaign/PointsPerSec/seq/parallel=2", func() error { return campaignSeqOp(2) }},
-		{"campaign/PointsPerSec/batched/parallel=2", campaignBatchedArm(2)},
 	}
 	elapsed := make([]time.Duration, len(arms))
 	allocs := make([]uint64, len(arms)) // fewest over the rounds
 	bytesA := make([]uint64, len(arms))
 	for round := -1; round < campaignRounds; round++ {
 		for i, arm := range arms {
-			// Collect before each timed slot so one arm's garbage (the
-			// seq arm allocates a switch and engine per replicate) is
+			// Collect before each timed slot so one arm's garbage (it
+			// allocates a switch and the run's slabs per replicate) is
 			// never collected on another arm's clock — the same
 			// isolation testing.B applies between benchmarks.
 			runtime.GC()
@@ -374,25 +346,18 @@ func perfSched(s sched.Scheduler, n int) func(b *testing.B) {
 
 // perfSim benchmarks one full simulation per op: 500 warmup + 2000
 // measured cycles of uniform traffic at 20% load, matching the sim
-// package's end-to-end benchmarks. The simulation runs through a warmed
-// one-seed sim.Batch, so after the untimed first run its recycled
-// switch and engine make the steady state allocation-free — the perf
-// gate pins both models at 0 allocs/op.
+// package's end-to-end benchmarks. Every op is one sim.Run on a fresh
+// switch, so allocs/op counts the switch's construction and the run's
+// setup; the cycle loop itself allocates nothing.
 func perfSim(mk func() sim.Switch) func(b *testing.B) {
 	return func(b *testing.B) {
-		bt := sim.NewBatch(mk, nil)
-		cfg := sim.Config{
-			Traffic: traffic.Uniform{Radix: 64},
-			Load:    0.2, Warmup: 500, Measure: 2000,
-		}
-		seeds := []uint64{1}
-		if _, err := bt.Run(cfg, seeds); err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := bt.Run(cfg, seeds); err != nil {
+			if _, err := sim.Run(sim.Config{
+				Switch:  mk(),
+				Traffic: traffic.Uniform{Radix: 64},
+				Load:    0.2, Warmup: 500, Measure: 2000, Seed: 1,
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}

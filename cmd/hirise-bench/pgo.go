@@ -23,10 +23,10 @@ import (
 // The workload mirrors where campaign wall-clock actually goes, so the
 // compiler optimizes for the same mix CI and users run: the
 // single-switch engine on the stock LRG crossbar (fused arbitration)
-// through both campaign arms — a recycled sim.Batch and one sim.Run per
-// replicate — and on the Hi-Rise CLRG switch (core.Arbitrate through
-// the engine), plus one saturated dragonfly fabric run (routing,
-// credits, and VC arbitration).
+// through the campaign arm — one sim.Run per replicate — and on the
+// Hi-Rise CLRG switch (core.Arbitrate through the engine), plus one
+// saturated dragonfly fabric run (routing, credits, and VC
+// arbitration).
 func runPGOProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -51,39 +51,30 @@ func runPGOProfile(path string) error {
 func pgoWorkload() error {
 	cfg := campaignCfg()
 
-	// Batched campaign arm: the fused crossbar engine, switch and engine
-	// recycled across points.
-	bt := sim.NewBatch(func() sim.Switch { return crossbar.New(64) }, nil)
-	for round := 0; round < 3; round++ {
+	// Campaign arm: one sim.Run per replicate with a fresh switch.
+	for round := 0; round < 4; round++ {
 		for point := 0; point < campaignPoints; point++ {
-			if _, err := bt.Run(cfg, campaignSeeds(point)); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Seq campaign arm: one sim.Run per replicate with a fresh switch.
-	for point := 0; point < campaignPoints; point++ {
-		for _, seed := range campaignSeeds(point) {
-			c := cfg
-			c.Switch = crossbar.New(64)
-			c.Seed = seed
-			if _, err := sim.Run(c); err != nil {
-				return err
+			for _, seed := range campaignSeeds(point) {
+				c := cfg
+				c.Switch = crossbar.New(64)
+				c.Seed = seed
+				if _, err := sim.Run(c); err != nil {
+					return err
+				}
 			}
 		}
 	}
 
 	// Hi-Rise CLRG: the engine's generic arbitration path.
-	hb := sim.NewBatch(func() sim.Switch {
+	newHiRise := func() sim.Switch {
 		sw, err := core.New(topo.Default64())
 		if err != nil {
 			panic(err)
 		}
 		return sw
-	}, nil)
+	}
 	for point := 0; point < campaignPoints; point++ {
-		if _, err := hb.Run(cfg, campaignSeeds(point)); err != nil {
+		if _, err := sim.BatchRun(cfg, newHiRise, nil, campaignSeeds(point)); err != nil {
 			return err
 		}
 	}

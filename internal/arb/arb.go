@@ -59,14 +59,13 @@ type BitArbiter interface {
 type LRG struct {
 	order []int // order[0] is the highest-priority requestor
 	pos   []int // pos[r] is r's index within order
-	init  []int // initial order for Reset; nil means identity
 }
 
 // NewLRG returns an LRG arbiter over n requestors with initial priority
 // order 0 > 1 > ... > n-1.
 func NewLRG(n int) *LRG {
 	l := &LRG{order: make([]int, n), pos: make([]int, n)}
-	l.Reset()
+	l.identity()
 	return l
 }
 
@@ -81,7 +80,7 @@ func NewLRGs(n, count int) []LRG {
 	for k := range ls {
 		ls[k].order = orders[k*n : (k+1)*n : (k+1)*n]
 		ls[k].pos = poss[k*n : (k+1)*n : (k+1)*n]
-		ls[k].Reset()
+		ls[k].identity()
 	}
 	return ls
 }
@@ -93,7 +92,6 @@ func NewLRGFromOrder(order []int) *LRG {
 	l := &LRG{
 		order: append([]int(nil), order...),
 		pos:   make([]int, n),
-		init:  append([]int(nil), order...),
 	}
 	seen := make([]bool, n)
 	for i, r := range l.order {
@@ -106,17 +104,10 @@ func NewLRGFromOrder(order []int) *LRG {
 	return l
 }
 
-// Reset restores the initial priority order, as if freshly constructed.
-func (l *LRG) Reset() {
-	if l.init == nil {
-		for i := range l.order {
-			l.order[i], l.pos[i] = i, i
-		}
-		return
-	}
-	copy(l.order, l.init)
-	for i, r := range l.order {
-		l.pos[r] = i
+// identity sets the initial priority order 0 > 1 > ... > n-1.
+func (l *LRG) identity() {
+	for i := range l.order {
+		l.order[i], l.pos[i] = i, i
 	}
 }
 
@@ -235,9 +226,6 @@ func (r *RoundRobin) GrantBits(req bitvec.Vec) int {
 // winners whose grant stands.
 func (r *RoundRobin) Update(winner int) { r.next = (winner + 1) % r.n }
 
-// Reset rewinds the scan position to slot 0, as if freshly constructed.
-func (r *RoundRobin) Reset() { r.next = 0 }
-
 // Fixed grants the lowest-index requestor and never changes priority. It
 // exists as an intentionally unfair baseline for fairness experiments.
 type Fixed struct{ n int }
@@ -263,6 +251,3 @@ func (f *Fixed) GrantBits(req bitvec.Vec) int { return req.First() }
 
 // Update is a no-op for fixed priority.
 func (f *Fixed) Update(int) {}
-
-// Reset is a no-op: fixed priority carries no state.
-func (f *Fixed) Reset() {}

@@ -149,18 +149,6 @@ func (c *CLRG) Update(line, input int) {
 	c.counters[input]++
 }
 
-// Reset restores the as-constructed arbitration state: the line LRG
-// returns to its initial order, every input counter clears, and the
-// grant-path scratch is zeroed. An attached audit stays attached.
-func (c *CLRG) Reset() {
-	c.lrg.Reset()
-	for i := range c.counters {
-		c.counters[i] = 0
-	}
-	c.masked.Zero()
-	c.reqBits.Zero()
-}
-
 // LineOrder returns the current LRG order over lines, highest first.
 func (c *CLRG) LineOrder() []int { return c.lrg.Order() }
 
@@ -207,15 +195,6 @@ func (w *WLRG) Update(line, weight int) {
 	if w.wins[line] >= weight {
 		w.wins[line] = 0
 		w.lrg.Update(line)
-	}
-}
-
-// Reset restores the as-constructed arbitration state: the line LRG
-// returns to its initial order and all win streaks clear.
-func (w *WLRG) Reset() {
-	w.lrg.Reset()
-	for i := range w.wins {
-		w.wins[i] = 0
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 type Matrix struct {
 	n     int
 	beats []bitvec.Vec // row i: the set of requestors i beats
-	init  []int        // initial order for Reset; nil means identity
 
 	// Scratch, reused per Grant (like the hardware's precharged lines).
 	inhibited bitvec.Vec
@@ -50,7 +49,6 @@ func NewMatrix(n int) *Matrix {
 // order, order[0] highest.
 func NewMatrixFromOrder(order []int) *Matrix {
 	m := NewMatrix(len(order))
-	m.init = append([]int(nil), order...)
 	for i := range order {
 		for j := i + 1; j < len(order); j++ {
 			m.beats[order[i]].Set(order[j])
@@ -58,28 +56,6 @@ func NewMatrixFromOrder(order []int) *Matrix {
 		}
 	}
 	return m
-}
-
-// Reset restores the initial priority matrix, as if freshly constructed.
-func (m *Matrix) Reset() {
-	for i := range m.beats {
-		m.beats[i].Zero()
-	}
-	if m.init == nil {
-		for i := 0; i < m.n; i++ {
-			for j := i + 1; j < m.n; j++ {
-				m.beats[i].Set(j)
-			}
-		}
-	} else {
-		for i := range m.init {
-			for j := i + 1; j < len(m.init); j++ {
-				m.beats[m.init[i]].Set(m.init[j])
-			}
-		}
-	}
-	m.inhibited.Zero()
-	m.reqBits.Zero()
 }
 
 // N returns the number of requestor slots.

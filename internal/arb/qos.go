@@ -71,15 +71,6 @@ func (q *QoS) Commit(req []bool, winner int) {
 	}
 }
 
-// Reset clears all accrued credit and restores the tie-break LRG, as if
-// freshly constructed. Configured weights are kept.
-func (q *QoS) Reset() {
-	for i := range q.credit {
-		q.credit[i] = 0
-	}
-	q.lrg.Reset()
-}
-
 // Weight returns requestor i's configured weight.
 func (q *QoS) Weight(i int) int { return q.weights[i] }
 
@@ -118,15 +109,5 @@ func (a *qosAdapter) Grant(req []bool) int {
 // Update commits the winner for the mask captured at Grant.
 func (a *qosAdapter) Update(winner int) {
 	a.q.Commit(a.lastReq, winner)
-	a.granted = false
-}
-
-// Reset restores the as-constructed state: credit and the captured
-// request mask clear, and any uncommitted round is dropped.
-func (a *qosAdapter) Reset() {
-	a.q.Reset()
-	for i := range a.lastReq {
-		a.lastReq[i] = false
-	}
 	a.granted = false
 }

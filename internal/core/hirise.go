@@ -221,72 +221,6 @@ func newSubBlock(cfg topo.Config, lines int) subBlock {
 // Radix returns the total port count.
 func (s *Switch) Radix() int { return s.cfg.Radix }
 
-// resetArb resets one local-port or sub-block arbiter via its concrete
-// Reset method (every arbiter in internal/arb has one).
-func resetArb(a arb.Arbiter) {
-	r, ok := a.(interface{ Reset() })
-	if !ok {
-		panic(fmt.Sprintf("core: arbiter %T has no Reset", a))
-	}
-	r.Reset()
-}
-
-// Reset restores the as-constructed state: connections drop, every
-// arbiter (local-switch ports, L2LC ports, inter-layer sub-blocks)
-// returns to its initial priority order, counters and runtime faults
-// clear, and scratch zeroes. Attached observability sinks stay attached;
-// geometry tables are immutable and untouched. Reset lets arena-style
-// callers reuse one switch across runs without reallocating its ~radix²
-// bits of arbitration state.
-func (s *Switch) Reset() {
-	for in := range s.heldOut {
-		s.heldOut[in] = -1
-		s.heldCh[in] = -1
-		s.outIn[in] = -1
-		s.outGrants[in] = 0
-	}
-	for c := range s.chBusy {
-		s.chBusy[c] = false
-		s.chFailed[c] = false
-		s.chGrants[c] = 0
-		s.chWin[c] = 0
-		s.chWeight[c] = 0
-		s.chReq[c].Zero()
-		resetArb(s.chArb[c])
-	}
-	s.localPath = 0
-	s.cycles = 0
-	for _, v := range s.inFailed {
-		v.Zero()
-	}
-	s.outFailed.Zero()
-	s.portFaults = false
-	s.grants = s.grants[:0]
-	for o := range s.intermReq {
-		s.intermReq[o].Zero()
-		s.outLineReq[o].Zero()
-		s.intermWin[o] = 0
-		resetArb(s.interArb[o])
-		sb := &s.subs[o]
-		switch sb.scheme {
-		case topo.WLRG:
-			sb.wlrg.Reset()
-		case topo.CLRG:
-			sb.clrg.Reset()
-		default:
-			resetArb(sb.plain)
-		}
-	}
-	for d := range s.destReq {
-		s.destReq[d].Zero()
-	}
-	for i := range s.lineInput {
-		s.lineInput[i] = 0
-		s.lineWeight[i] = 0
-		s.lineCh[i] = 0
-	}
-}
-
 // SetObserver attaches observability sinks (internal/obs). The
 // observer's fairness audit receives one observation per contending
 // line per inter-layer sub-block round — routed through arb.CLRG for

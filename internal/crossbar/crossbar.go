@@ -130,37 +130,6 @@ func NewWithArbiters(radix int, arbs []arb.Arbiter) (*Switch, error) {
 	return s, nil
 }
 
-// Reset restores the as-constructed state: every connection drops, all
-// arbiters return to their initial priority order, runtime faults are
-// restored, and scratch is cleared. An attached audit stays attached.
-// It panics if any arbiter lacks a Reset method (all arbiters in
-// internal/arb have one).
-func (s *Switch) Reset() {
-	for i := range s.held {
-		s.held[i] = -1
-		s.outIn[i] = -1
-		s.reqMask[i].Zero()
-	}
-	for i := range s.reqBuf {
-		s.reqBuf[i] = false
-	}
-	s.reqOuts.Zero()
-	s.grants = s.grants[:0]
-	s.inFailed.Zero()
-	s.outFailed.Zero()
-	for _, v := range s.xpFailed {
-		v.Zero()
-	}
-	s.faultActive = false
-	for o, a := range s.arbs {
-		r, ok := a.(interface{ Reset() })
-		if !ok {
-			panic(fmt.Sprintf("crossbar: output %d arbiter %T has no Reset", o, a))
-		}
-		r.Reset()
-	}
-}
-
 // Radix returns the port count.
 func (s *Switch) Radix() int { return s.n }
 

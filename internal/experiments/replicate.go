@@ -29,13 +29,11 @@ func TableIVReplicated(o Opts) *Table {
 		designHiRise("3D 2-Channel", 2, topo.L2LLRG),
 		designHiRise("3D 1-Channel", 1, topo.L2LLRG),
 	}
-	// One sweep task per design; its replicates run through one
-	// sim.Batch, which recycles the switch and the engine's state across
-	// the 5 seeds. Each replicate's stream is still derived from its
-	// (design, replicate) coordinates and its result is byte-identical
-	// to a standalone sim.Run, so the same base seed reproduces
-	// identical means at any worker count (pinned by the engine's
-	// differential tests and this experiment's golden).
+	// One sweep task per design; sim.BatchRun runs its 5 replicates one
+	// after another, each on a fresh switch. Each replicate's stream is
+	// derived from its (design, replicate) coordinates, so the same base
+	// seed reproduces identical means at any worker count (pinned by the
+	// engine's differential tests and this experiment's golden).
 	vals := make([][]float64, len(designs))
 	o.sweep(len(designs), func(di int) {
 		d := designs[di]

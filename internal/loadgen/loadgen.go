@@ -17,13 +17,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/reprolab/hirise/internal/obs"
 	"github.com/reprolab/hirise/internal/serve"
 	"github.com/reprolab/hirise/internal/tele"
 )
@@ -132,6 +133,31 @@ type Quantiles struct {
 	P90  float64 `json:"p90"`
 	P99  float64 `json:"p99"`
 	Max  float64 `json:"max"`
+}
+
+// latencyQuantiles summarizes raw latency samples: their mean, max and
+// nearest-rank P50/P90/P99 (the q-quantile is the smallest sample with
+// at least ceil(q·n) samples at or below it). It sorts samples in place.
+func latencyQuantiles(samples []float64) Quantiles {
+	if len(samples) == 0 {
+		return Quantiles{}
+	}
+	sort.Float64s(samples)
+	var sum float64
+	for _, x := range samples {
+		sum += x
+	}
+	rank := func(q float64) float64 {
+		r := int(math.Ceil(q * float64(len(samples))))
+		return samples[max(r, 1)-1]
+	}
+	return Quantiles{
+		Mean: sum / float64(len(samples)),
+		P50:  rank(0.50),
+		P90:  rank(0.90),
+		P99:  rank(0.99),
+		Max:  samples[len(samples)-1],
+	}
 }
 
 // Telemetry is the run's windowed time series: per-window submission,
@@ -258,11 +284,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	results := make(chan outcome, cfg.Requests)
 	go g.dispatch(ctx, sched, results)
 
-	// The aggregator owns the histogram and the sampler (both are
+	// The aggregator owns the latency samples and the sampler (both are
 	// single-writer); workers only touch atomics and the results
 	// channel.
-	reg := obs.NewRegistry()
-	hist := reg.Histogram("loadgen.latency.seconds", 0.025, 2400)
+	lats := make([]float64, 0, cfg.Requests)
 	var ticker *time.Ticker
 	var tickC <-chan time.Time
 	if samp != nil {
@@ -271,7 +296,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		tickC = ticker.C
 	}
 	rep := &Report{Targets: cfg.Targets, Requests: cfg.Requests}
-	var maxLat float64
 	var ticks int64
 	for got := 0; got < cfg.Requests; {
 		select {
@@ -300,11 +324,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			default:
 				rep.Lost++
 			}
-			sec := out.latency.Seconds()
-			hist.Observe(sec)
-			if sec > maxLat {
-				maxLat = sec
-			}
+			lats = append(lats, out.latency.Seconds())
 		case <-tickC:
 			ticks++
 			samp.Tick(ticks)
@@ -318,13 +338,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	rep.Rejected429 = int(g.rejected429.Load())
 	rep.Resubmits = int(g.resubmits.Load())
 	rep.RetryAfterWaitSeconds = float64(g.honoredMS.Load()) / 1000
-	rep.Latency = Quantiles{
-		Mean: hist.Mean(),
-		P50:  hist.Quantile(0.50),
-		P90:  hist.Quantile(0.90),
-		P99:  hist.Quantile(0.99),
-		Max:  maxLat,
-	}
+	rep.Latency = latencyQuantiles(lats)
 	rep.ElapsedSeconds = time.Since(g.start).Seconds()
 	rep.OfferedRate = cfg.Rate
 	if rep.ElapsedSeconds > 0 {

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -51,6 +52,29 @@ func TestConfigValidation(t *testing.T) {
 // TestRunSingleNode drives a healthy daemon well within capacity: every
 // request must finish done, the keyspace must collapse onto cache hits,
 // and the byte-identity check must pass.
+// TestLatencyQuantilesFromRawSamples pins the report's latency summary
+// to nearest-rank quantiles of the raw samples: for 1..100 ms, shuffled,
+// the quantiles stay distinct and exact instead of collapsing into one
+// histogram bin.
+func TestLatencyQuantilesFromRawSamples(t *testing.T) {
+	samples := make([]float64, 100)
+	for i := range samples {
+		samples[i] = float64((i*37)%100+1) / 1000 // a permutation of 1..100 ms
+	}
+	got := latencyQuantiles(samples)
+	want := Quantiles{Mean: 0.0505, P50: 0.050, P90: 0.090, P99: 0.099, Max: 0.100}
+	if math.Abs(got.Mean-want.Mean) > 1e-12 || got.P50 != want.P50 || got.P90 != want.P90 ||
+		got.P99 != want.P99 || got.Max != want.Max {
+		t.Fatalf("latencyQuantiles = %+v, want %+v", got, want)
+	}
+	if one := latencyQuantiles([]float64{0.0016}); one.P50 != 0.0016 || one.P99 != 0.0016 || one.Mean != 0.0016 {
+		t.Fatalf("single sample: %+v", one)
+	}
+	if empty := latencyQuantiles(nil); empty != (Quantiles{}) {
+		t.Fatalf("no samples: %+v", empty)
+	}
+}
+
 func TestRunSingleNode(t *testing.T) {
 	leakcheck.Check(t)
 	ts := startServeNode(t, serve.Config{Workers: 2})

@@ -16,7 +16,9 @@ import (
 //   - the always-maximal schedulers (wavefront, iSLIP at n iterations)
 //     emit maximal matchings;
 //   - nobody exceeds the maximum cardinality (MWM with unit weights),
-//     and a maximal matching has at least half of it.
+//     and a maximal matching has at least half of it;
+//   - both MWM oracles carry an LP-duality certificate of optimality
+//     (checkMWMCertificate).
 //
 // Port counts cross the 64-bit word boundary to exercise multi-word
 // bitset paths.
@@ -48,10 +50,12 @@ func FuzzSchedulersAgainstMWM(f *testing.F) {
 			card := cardOracle.Schedule(req, nil, maxCard)
 			checkValid(t, req, maxCard, n)
 			checkMaximal(t, req, maxCard, n)
+			checkMWMCertificate(t, cardOracle, maxCard, nil)
 
 			wBest := weightOracle.Schedule(req, qlen, match)
 			checkValid(t, req, match, n)
 			checkMaximal(t, req, match, n)
+			checkMWMCertificate(t, weightOracle, match, qlen)
 			if wBest > card {
 				t.Fatalf("weighted MWM matched %d pairs > max cardinality %d", wBest, card)
 			}

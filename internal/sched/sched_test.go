@@ -78,6 +78,35 @@ func matchWeight(match []int, qlen []int32, n int) int64 {
 	return w
 }
 
+// checkMWMCertificate checks the LP-duality certificate the Hungarian
+// solver leaves behind after Schedule. Its row and column potentials
+// must be dual-feasible (u[i] + v[j] ≤ cost[i][j] for every i, j) and
+// sum to the cost of its assignment p; by weak duality that proves the
+// assignment optimal, independently of the solver's own logic. The
+// negated assignment cost must then be the emitted matching's weight.
+func checkMWMCertificate(t *testing.T, s *MWM, match []int, qlen []int32) {
+	t.Helper()
+	n := s.n
+	var dual, primal int64
+	for k := 1; k <= n; k++ {
+		dual += s.u[k] + s.v[k]
+		primal += s.cost[(s.p[k]-1)*n+(k-1)]
+	}
+	if dual != primal {
+		t.Fatalf("MWM potentials sum to %d, assignment cost is %d", dual, primal)
+	}
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= n; j++ {
+			if c := s.cost[(i-1)*n+(j-1)]; s.u[i]+s.v[j] > c {
+				t.Fatalf("MWM potentials infeasible at (%d,%d): u+v = %d > cost %d", i-1, j-1, s.u[i]+s.v[j], c)
+			}
+		}
+	}
+	if w := matchWeight(match, qlen, n); -primal != w {
+		t.Fatalf("MWM assignment cost %d, matching weight %d", primal, w)
+	}
+}
+
 // randomReq fills an n×n request matrix with density p and, optionally,
 // random queue lengths on the requested edges.
 func randomReq(src *prng.Source, m []bitvec.Vec, qlen []int32, n int, p float64) {
@@ -208,6 +237,7 @@ func TestMWMMatchesBruteForce(t *testing.T) {
 		randomReq(src, req, qlen, n, 0.4)
 		s.Schedule(req, qlen, match)
 		checkValid(t, req, match, n)
+		checkMWMCertificate(t, s, match, qlen)
 		got := matchWeight(match, qlen, n)
 		want := bruteMaxWeight(req, qlen, n)
 		if got != want {

@@ -1,12 +1,11 @@
 // The single-switch cycle engine. Every single-switch simulation in the
-// repository — Run, Batch.Run, BatchRun and every LoadSweep point —
-// executes engine.run: one run of one configuration on one switch.
+// repository — Run, BatchRun and every LoadSweep point — executes Run:
+// one run of one configuration on one fresh switch.
 //
-// The engine keeps its state in flat, recycled slabs: one 64-byte line
-// per input port (bport), the VC slots and source-queue rings of every
-// port in two packet slabs, and the fused-crossbar tables below. A
-// Batch recycles one engine across its seeds and runs, so a warmed
-// Batch executes with zero allocations; Run uses a fresh one.
+// A run keeps its state in flat slabs, made once at its start: one
+// 64-byte line per input port (bport), the VC slots and source-queue
+// rings of every port in two packet slabs, and the fused-crossbar
+// tables below. Past that setup the cycle loop allocates nothing.
 //
 // Each cycle runs the phases of the reference loop (refRun, see below)
 // in its order:
@@ -68,118 +67,12 @@ import (
 	"github.com/reprolab/hirise/internal/traffic"
 )
 
-// Batch runs one switch configuration over many seeds. A Batch keeps a
-// switch factory, one recycled switch and one recycled engine; reusing
-// one Batch across the points of a campaign is what makes the warmed
-// steady state allocation-free. A Batch is not safe for concurrent use
-// — give each worker its own (the experiment drivers do).
-type Batch struct {
-	newSwitch  func() Switch
-	newTraffic func() Traffic
-
-	// sw is the recycled switch: Reset between runs, rebuilt when the
-	// model has no Reset, and dropped after a run that attached Obs or
-	// Faults to it (Reset detaches neither).
-	sw Switch
-	e  engine
-
-	results  []Result
-	lat, pkt []float64 // [k*n + in]: Result.PerInputLatency / PerInputPackets backing
-}
-
-// NewBatch returns a batch runner over switches from newSwitch.
-// newTraffic, when non-nil, supplies each run its own traffic pattern;
-// it must be non-nil for stateful patterns (e.g. traffic.Bursty), which
-// cannot be shared across runs — the same contract as LoadSweep. When
-// newTraffic is nil, every run shares Config.Traffic.
-func NewBatch(newSwitch func() Switch, newTraffic func() Traffic) *Batch {
-	if newSwitch == nil {
-		panic("sim: NewBatch needs a switch factory")
-	}
-	return &Batch{newSwitch: newSwitch, newTraffic: newTraffic}
-}
-
-// BatchRun is the one-shot convenience form of NewBatch(...).Run(...):
-// it executes one run of base per seed and returns their results in
-// seed order. Callers running many points should hold a Batch instead,
-// which reuses the switch and engine across points.
-func BatchRun(base Config, newSwitch func() Switch, newTraffic func() Traffic, seeds []uint64) ([]Result, error) {
-	return NewBatch(newSwitch, newTraffic).Run(base, seeds)
-}
-
-// Run executes one run of base per seed, run k seeded with seeds[k],
-// and returns their results in seed order — each byte-identical to
-// Run(base) with Switch from the factory and Seed seeds[k]. base.Switch
-// and base.Seed are ignored (the factory and the seeds replace them),
-// as is base.Traffic when the Batch has a traffic factory.
-//
-// Result slices (PerInputLatency, PerInputPackets) and the returned
-// slice itself are backed by the Batch: they stay valid until the next
-// Run on this Batch, which recycles them. Copy what must outlive it.
-func (b *Batch) Run(base Config, seeds []uint64) ([]Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("sim: batch run needs at least one seed")
-	}
-	n := 0
-	for k, seed := range seeds {
-		cfg := base
-		cfg.Seed = seed
-		cfg.Defaults()
-		if err := b.nextSwitch(); err != nil {
-			return nil, err
-		}
-		cfg.Switch = b.sw
-		if b.newTraffic != nil {
-			cfg.Traffic = b.newTraffic()
-		}
-		if err := cfg.validate(); err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			n = b.sw.Radix()
-			if len(b.results) < len(seeds) {
-				b.results = make([]Result, len(seeds))
-			}
-			if len(b.lat) < len(seeds)*n {
-				b.lat = make([]float64, len(seeds)*n)
-				b.pkt = make([]float64, len(seeds)*n)
-			}
-		} else if r := b.sw.Radix(); r != n {
-			return nil, fmt.Errorf("sim: batch switch %d has radix %d, want %d", k, r, n)
-		}
-		lo, hi := k*n, (k+1)*n
-		res, err := b.e.run(&cfg, b.lat[lo:hi:hi], b.pkt[lo:hi:hi])
-		if cfg.Obs != nil || !cfg.Faults.Empty() {
-			b.sw = nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch replica %d: %w", k, err)
-		}
-		b.results[k] = res
-	}
-	return b.results[:len(seeds)], nil
-}
-
-// nextSwitch readies the recycled switch for the next run: Reset when
-// the model supports it, otherwise (or when there is none yet) a fresh
-// one from the factory.
-func (b *Batch) nextSwitch() error {
-	if r, ok := b.sw.(interface{ Reset() }); ok {
-		r.Reset()
-		return nil
-	}
-	if b.sw = b.newSwitch(); b.sw == nil {
-		return fmt.Errorf("sim: switch factory returned nil")
-	}
-	return nil
-}
-
 // bport is the engine's per-input state: the reference loop's port
 // struct squeezed into one cache line (64 bytes), so each per-cycle
 // pass pulls one line per port. The VC occupancy flags are one bitmask
 // (candidate selection and refill are a rotate and a trailing-zeros
 // scan instead of a bool-slice walk), the VC slots and source queue
-// live at fixed offsets in the engine's slabs (no slice headers here),
+// live at fixed offsets in the run's slabs (no slice headers here),
 // and the connected flag is folded into remaining: a port is connected
 // iff remaining > 0, since a grant always sets remaining to the full
 // packet length ≥ 1.
@@ -210,83 +103,6 @@ type bpacket struct {
 // end of phase 2 (see the package comment above).
 type deadFlow struct{ in, dest, age int }
 
-// engine is the recycled state of one single-switch run. Slabs are
-// resized only when the configuration's shape changes.
-type engine struct {
-	n, vcs, qcap int
-
-	ports  []bport
-	vcSlab []bpacket // VC slots: [in*vcs + v]
-	qSlab  []bpacket // source-queue rings: [in*qcap + i]
-	req    []int     // requested output per input, or -1 (Switch.Arbitrate's argument)
-	rel    []int32   // inputs whose connection finished this cycle
-
-	// Fused-crossbar state: one stock LRG crossbar without the
-	// crossbar.Switch object, allocated on the first fused run. Column
-	// request bitsets are zeroed as arbitration consumes them.
-	xheld  []int32  // [in]: output held by input, or -1
-	xoutIn []int32  // [out]: input holding output, or -1
-	xstamp []int64  // [out*n + in]: last-grant stamp
-	xclock []int64  // [out]: per-column stamp clock
-	xmask  []uint64 // [out*words + w]: column request bitsets
-	xdirty []uint64 // columns with requests this cycle
-
-	hist   *stats.Histogram
-	perLat *stats.PerPort
-	perPkt []int64
-	dead   []deadFlow // phase 2's deferred dead-flow trace events
-
-	root prng.Source // reseeded per run to derive the port streams
-}
-
-// prepare sizes the slabs for a run and restores every piece of
-// recycled state to its as-constructed value. Freshly made slabs are
-// already zero and are not cleared again: a one-shot Run would
-// otherwise write every page of the 32 KiB latency histogram, most of
-// which a low-load run never touches, and make it resident.
-func (e *engine) prepare(n, vcs, qcap int, fast bool) {
-	if e.n != n || e.vcs != vcs || e.qcap != qcap {
-		e.n, e.vcs, e.qcap = n, vcs, qcap
-		e.ports = make([]bport, n)
-		e.vcSlab = make([]bpacket, n*vcs)
-		e.qSlab = make([]bpacket, n*qcap)
-		e.req = make([]int, n)
-		e.rel = make([]int32, n)
-		e.perLat = stats.NewPerPort(n)
-		e.perPkt = make([]int64, n)
-		e.xheld = nil
-	} else {
-		clear(e.ports)
-		e.perLat.Reset()
-		clear(e.perPkt)
-	}
-	if e.hist == nil {
-		e.hist = stats.NewHistogram(4, 4096)
-	} else {
-		e.hist.Reset()
-	}
-	if !fast {
-		return
-	}
-	if len(e.xheld) != n {
-		words := bitvec.WordsFor(n)
-		e.xheld = make([]int32, n)
-		e.xoutIn = make([]int32, n)
-		e.xstamp = make([]int64, n*n)
-		e.xclock = make([]int64, n)
-		e.xmask = make([]uint64, n*words)
-		e.xdirty = make([]uint64, words)
-	} else {
-		clear(e.xstamp)
-		clear(e.xclock)
-		clear(e.xmask)
-		clear(e.xdirty)
-	}
-	for i := range e.xheld {
-		e.xheld[i], e.xoutIn[i] = -1, -1
-	}
-}
-
 // firstVC returns the first occupied VC at or after rr (occ must be
 // nonzero): the round-robin VC scan as a rotate and a trailing-zeros
 // count.
@@ -299,10 +115,12 @@ func firstVC(occ uint64, rr, vcs int32, mask uint64) int32 {
 	return v
 }
 
-// run executes one simulation of cfg, which must be defaulted and
-// validated, and returns its measurements; the Result's per-input
-// slices are lat and pkt, each Switch.Radix() long.
-func (e *engine) run(cfg *Config, lat, pkt []float64) (Result, error) {
+// Run executes one simulation and returns its measurements.
+func Run(cfg Config) (Result, error) {
+	cfg.Defaults()
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
 	sw := cfg.Switch
 	n := sw.Radix()
 	hasFaults := !cfg.Faults.Empty()
@@ -397,14 +215,45 @@ func (e *engine) run(cfg *Config, lat, pkt []float64) (Result, error) {
 	}
 	var fstats FaultStats
 
-	e.prepare(n, cfg.VCs, cfg.SourceQueueCap, fast)
-	ports := e.ports
-	e.root.Reseed(cfg.Seed)
-	for in := range ports {
-		e.root.SplitTo(&ports[in].rng)
+	vcsN := cfg.VCs
+	qcap := cfg.SourceQueueCap
+	words := bitvec.WordsFor(n)
+	ports := make([]bport, n)
+	vcSlab := make([]bpacket, n*vcsN) // VC slots: [in*vcs + v]
+	qSlab := make([]bpacket, n*qcap)  // source-queue rings: [in*qcap + i]
+	req := make([]int, n)             // requested output per input, or -1 (Switch.Arbitrate's argument)
+	relIn := make([]int32, n)         // inputs whose connection finished this cycle
+	hist := stats.NewHistogram(4, 4096)
+	perLat := stats.NewPerPort(n)
+	perPkt := make([]int64, n)
+	var deadBuf []deadFlow // phase 2's deferred dead-flow trace events
+	if deadOn && rec != nil {
+		deadBuf = make([]deadFlow, 0, n*vcsN)
 	}
-	if deadOn && rec != nil && cap(e.dead) < n*cfg.VCs {
-		e.dead = make([]deadFlow, 0, n*cfg.VCs)
+	var root prng.Source
+	root.Reseed(cfg.Seed)
+	for in := range ports {
+		root.SplitTo(&ports[in].rng)
+	}
+
+	// Fused-crossbar state: one stock LRG crossbar without the
+	// crossbar.Switch object. Column request bitsets are zeroed as
+	// arbitration consumes them.
+	var (
+		xheld  []int32  // [in]: output held by input, or -1
+		xoutIn []int32  // [out]: input holding output, or -1
+		xstamp []int64  // [out*n + in]: last-grant stamp
+		xclock []int64  // [out]: per-column stamp clock
+		xmask  []uint64 // [out*words + w]: column request bitsets
+		xdirty []uint64 // columns with requests this cycle
+	)
+	if fast {
+		xheld, xoutIn = make([]int32, n), make([]int32, n)
+		xstamp, xclock = make([]int64, n*n), make([]int64, n)
+		xmask, xdirty = make([]uint64, n*words), make([]uint64, words)
+		for i := range xheld {
+			xheld[i], xoutIn[i] = -1, -1
+		}
 	}
 
 	if samp != nil {
@@ -456,25 +305,12 @@ func (e *engine) run(cfg *Config, lat, pkt []float64) (Result, error) {
 
 	F := int32(cfg.PacketFlits)
 	F64 := int64(cfg.PacketFlits)
-	vcs := int32(cfg.VCs)
-	vcsN := cfg.VCs
+	vcs := int32(vcsN)
 	vcMask := uint64(1)<<uint(vcs) - 1 // all ones at 64 VCs
-	qcap := cfg.SourceQueueCap
 	qc := int32(qcap)
 	load := cfg.Load
-	words := bitvec.WordsFor(n)
 	total := cfg.Warmup + cfg.Measure
 
-	// Hoist every slab into a local: inside the loop the compiler cannot
-	// prove stores through these slices leave *e itself unchanged, so
-	// field-based access would reload each slice header after every
-	// store.
-	qSlab, vcSlab := e.qSlab, e.vcSlab
-	req, relIn := e.req, e.rel
-	xheld, xoutIn := e.xheld, e.xoutIn
-	xstamp, xclock := e.xstamp, e.xclock
-	xmask, xdirty := e.xmask, e.xdirty
-	hist, perLat, perPkt := e.hist, e.perLat, e.perPkt
 	var injected, delivered, dropped, flits int64
 
 	var stoppedAt int64 // cycle count at a ConvergeStop early exit, 0 = ran full length
@@ -497,7 +333,7 @@ func (e *engine) run(cfg *Config, lat, pkt []float64) (Result, error) {
 		// cycle's arbitration, matching the priority-bus reuse
 		// (arbitration cannot overlap data on the same output).
 		relN := 0
-		dead := e.dead[:0]
+		dead := deadBuf[:0]
 		for in := 0; in < n; in++ {
 			p := &ports[in]
 			piV := in * vcsN
@@ -806,7 +642,8 @@ func (e *engine) run(cfg *Config, lat, pkt []float64) (Result, error) {
 	if stoppedAt > 0 {
 		measured = float64(stoppedAt - cfg.Warmup)
 	}
-	perLat.MeansInto(lat)
+	lat := perLat.Means()
+	pkt := make([]float64, n)
 	for i, c := range perPkt {
 		pkt[i] = float64(c) / measured
 	}

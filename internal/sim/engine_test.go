@@ -4,8 +4,7 @@
 // (obs, tele with ConvergeStop, lossy links with retries, fail-stop
 // faults with dead flows, the checker, up to 64 VCs) — must produce
 // byte-identical Results and byte-identical observability output
-// through Run, through Batch.Run at 1 to 8 seeds, and across recycled
-// Batch runs.
+// through Run and through BatchRun at 1 to 8 seeds.
 package sim
 
 import (
@@ -24,37 +23,6 @@ import (
 	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/traffic"
 )
-
-// refResults is the reference arm: one refRun per seed, fresh switch
-// and traffic each — exactly what Run and Batch.Run must reproduce.
-func refResults(t *testing.T, base Config, newSwitch func() Switch, newTraffic func() Traffic, seeds []uint64) []Result {
-	t.Helper()
-	out := make([]Result, len(seeds))
-	for k, seed := range seeds {
-		c := base
-		c.Switch = newSwitch()
-		if newTraffic != nil {
-			c.Traffic = newTraffic()
-		}
-		c.Seed = seed
-		r, err := refRun(c)
-		if err != nil {
-			t.Fatalf("reference replica %d: %v", k, err)
-		}
-		out[k] = r
-	}
-	return out
-}
-
-func copyResults(rs []Result) []Result {
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = r
-		out[i].PerInputLatency = append([]float64(nil), r.PerInputLatency...)
-		out[i].PerInputPackets = append([]float64(nil), r.PerInputPackets...)
-	}
-	return out
-}
 
 func seedLattice(base uint64, r int) []uint64 {
 	seeds := make([]uint64, r)
@@ -133,7 +101,7 @@ func failStopPlan(t testing.TB) *fault.Plan {
 }
 
 // TestBatchRunMatchesSequential is the engine's equivalence pin: at
-// every batch width, Run per seed and Batch.Run over the seeds must be
+// every batch width, Run per seed and BatchRun over the seeds must be
 // byte-identical to refRun per seed — results and every observability
 // artifact — for the fused path (stock LRG crossbar, flat, multi-word
 // and folded), the generic path (Hi-Rise CLRG, a non-LRG crossbar),
@@ -358,15 +326,14 @@ func TestBatchRunMatchesSequential(t *testing.T) {
 							return rs, nil
 						}
 						// A sampler cannot be shared across runs, so an
-						// observed case feeds one recycled Batch one seed
-						// (and one observer) per call.
-						b := NewBatch(tc.newSwitch, tc.newTraffic)
+						// observed case calls BatchRun with one seed (and
+						// one observer) per call.
 						return perSeed(func(c Config) (Result, error) {
-							rs, err := b.Run(c, []uint64{c.Seed})
+							rs, err := BatchRun(c, func() Switch { return c.Switch }, nil, []uint64{c.Seed})
 							if err != nil {
 								return Result{}, err
 							}
-							return copyResults(rs)[0], nil
+							return rs[0], nil
 						})
 					}
 					for _, a := range []struct {
@@ -374,7 +341,7 @@ func TestBatchRunMatchesSequential(t *testing.T) {
 						run  func() ([]Result, []byte)
 					}{
 						{"Run", func() ([]Result, []byte) { return perSeed(Run) }},
-						{"Batch.Run", batch},
+						{"BatchRun", batch},
 					} {
 						got, gotObs := a.run()
 						for k := range want {
@@ -394,89 +361,6 @@ func TestBatchRunMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchReuseAcrossRuns pins the recycling contract: the same
-// Batch, run repeatedly (including across different loads and widths),
-// keeps producing results identical to fresh reference runs — i.e.
-// every piece of recycled state is restored to its as-constructed value
-// between runs.
-func TestBatchReuseAcrossRuns(t *testing.T) {
-	mk := func() Switch { return crossbar.New(32) }
-	b := NewBatch(mk, nil)
-	points := []struct {
-		load  float64
-		width int
-	}{
-		{0.2, 4}, {0.8, 4}, {0.2, 4}, {0.5, 2}, {0.2, 8},
-	}
-	for i, pt := range points {
-		base := Config{
-			Traffic: traffic.Uniform{Radix: 32},
-			Load:    pt.load,
-			Warmup:  200, Measure: 800,
-		}
-		seeds := seedLattice(99, pt.width)
-		got, err := b.Run(base, seeds)
-		if err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
-		got = copyResults(got) // Batch-backed; the next Run recycles them
-		want := refResults(t, base, mk, nil, seeds)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("point %d (load %.2f width %d): reused batch diverged from the reference",
-				i, pt.load, pt.width)
-		}
-	}
-}
-
-// TestBatchSequentialFallback: a run with Obs and Faults attaches them
-// to the Batch's switch, which Reset does not undo. The Batch must
-// still match the reference under those hooks, and a hooked run must
-// not poison a later hook-free run on the same Batch — neither its
-// results nor the earlier run's observer.
-func TestBatchSequentialFallback(t *testing.T) {
-	mk := func() Switch { return crossbar.New(32) }
-	base := Config{
-		Traffic: traffic.Uniform{Radix: 32},
-		Load:    0.3,
-		Warmup:  200, Measure: 800,
-		Faults: mustPlan(t,
-			fault.Fault{Kind: fault.Input, ID: 5, Onset: 0, Repair: -1},
-			fault.Fault{Kind: fault.Crosspoint, ID: 3*32 + 17, Onset: 100, Repair: 600},
-		),
-	}
-	seeds := seedLattice(7, 3)
-	hooked := base
-	hooked.Obs = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewRecorder(0), Fairness: obs.NewFairnessAudit(32, 1)}
-	b := NewBatch(mk, nil)
-	got, err := b.Run(hooked, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := hooked
-	ref.Obs = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewRecorder(0), Fairness: obs.NewFairnessAudit(32, 1)}
-	want := refResults(t, ref, mk, nil, seeds)
-	if !reflect.DeepEqual(copyResults(got), want) {
-		t.Fatal("hooked batch run diverged from the reference")
-	}
-	events := len(hooked.Obs.Trace.Events())
-	if events == 0 || !bytes.Equal(obsBytes(t, hooked.Obs), obsBytes(t, ref.Obs)) {
-		t.Fatal("hooked batch run's observability output diverged from the reference")
-	}
-	lean := base
-	lean.Faults = nil
-	got2, err := b.Run(lean, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2 := refResults(t, lean, mk, nil, seeds)
-	if !reflect.DeepEqual(copyResults(got2), want2) {
-		t.Fatal("hook-free run after a hooked run diverged from the reference")
-	}
-	if n := len(hooked.Obs.Trace.Events()); n != events {
-		t.Fatalf("hook-free run recorded %d events into the earlier run's observer", n-events)
-	}
-}
-
 func TestBatchRunErrors(t *testing.T) {
 	mk := func() Switch { return crossbar.New(8) }
 	if _, err := BatchRun(Config{Traffic: traffic.Uniform{Radix: 8}, Load: 0.1}, mk, nil, nil); err == nil {
@@ -490,52 +374,8 @@ func TestBatchRunErrors(t *testing.T) {
 	if _, err := BatchRun(wide, mk, nil, []uint64{1}); err == nil {
 		t.Error("65 VCs: want error")
 	}
-}
-
-// TestBatchSteadyStateAllocs is the batched-mode allocation pin: a
-// warmed Batch must execute entire runs — all replicas, every cycle —
-// without a single heap allocation, on both the fused crossbar path and
-// the generic (HiRise) path.
-func TestBatchSteadyStateAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc measurement needs full runs")
-	}
-	cases := []struct {
-		name string
-		mk   func() Switch
-	}{
-		{"crossbar-fast", func() Switch { return crossbar.New(64) }},
-		{"hirise-clrg-generic", func() Switch {
-			s, err := core.New(topo.Config{
-				Radix: 64, Layers: 4, Channels: 4,
-				Alloc: topo.InputBinned, Scheme: topo.CLRG, Classes: 3,
-			})
-			if err != nil {
-				panic(err)
-			}
-			return s
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := NewBatch(tc.mk, nil)
-			base := Config{
-				Traffic: traffic.Uniform{Radix: 64},
-				Load:    0.3,
-				Warmup:  200, Measure: 800,
-			}
-			seeds := seedLattice(5, 4)
-			if _, err := b.Run(base, seeds); err != nil { // warm the arena
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(2, func() {
-				if _, err := b.Run(base, seeds); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 0 {
-				t.Errorf("warmed batch run allocated %.1f objects/run, want 0", allocs)
-			}
-		})
+	nilSwitch := func() Switch { return nil }
+	if _, err := BatchRun(Config{Traffic: traffic.Uniform{Radix: 8}, Load: 0.1}, nilSwitch, nil, []uint64{1}); err == nil {
+		t.Error("factory returning nil: want error")
 	}
 }

@@ -226,15 +226,33 @@ const teleDeliveredSeries = "sim.packets.delivered"
 // detector from declaring victory on a handful of samples.
 const convergeMinWindows = 16
 
-// Run executes one simulation and returns its measurements.
-func Run(cfg Config) (Result, error) {
-	cfg.Defaults()
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
+// BatchRun executes one run of base per seed, run k seeded with
+// seeds[k] on a fresh switch from newSwitch, and returns their results
+// in seed order — each identical to Run(base) with that Switch and
+// Seed. base.Switch and base.Seed are ignored. newTraffic, when
+// non-nil, supplies each run its own traffic pattern; it must be
+// non-nil for stateful patterns (e.g. traffic.Bursty), which cannot be
+// shared across runs — the same contract as LoadSweep. When newTraffic
+// is nil, every run shares base.Traffic.
+func BatchRun(base Config, newSwitch func() Switch, newTraffic func() Traffic, seeds []uint64) ([]Result, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("sim: batch run needs at least one seed")
 	}
-	n := cfg.Switch.Radix()
-	var e engine
-	return e.run(&cfg, make([]float64, n), make([]float64, n))
+	out := make([]Result, len(seeds))
+	for k, seed := range seeds {
+		cfg := base
+		cfg.Seed = seed
+		cfg.Switch = newSwitch()
+		if newTraffic != nil {
+			cfg.Traffic = newTraffic()
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("sim: batch replica %d: %w", k, err)
+		}
+		out[k] = res
+	}
+	return out, nil
 }
 
 // SaturationThroughput runs the switch fully backlogged (load 1.0) and

@@ -36,9 +36,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// Reset discards every observation, returning s to its zero value.
-func (s *Summary) Reset() { *s = Summary{} }
-
 // N returns the number of observations.
 func (s *Summary) N() int64 { return s.n }
 
@@ -144,17 +141,6 @@ func (h *Histogram) Add(x float64) {
 	h.bins[i]++
 }
 
-// Reset discards every observation, keeping the bin shape. A reset
-// histogram behaves exactly like a fresh NewHistogram of the same shape,
-// without reallocating the bins.
-func (h *Histogram) Reset() {
-	for i := range h.bins {
-		h.bins[i] = 0
-	}
-	h.overflow = 0
-	h.sum.Reset()
-}
-
 // N returns the number of observations.
 func (h *Histogram) N() int64 { return h.sum.N() }
 
@@ -200,13 +186,6 @@ func NewPerPort(n int) *PerPort {
 // Add records an observation for port p.
 func (pp *PerPort) Add(p int, x float64) {
 	pp.Ports[p].Add(x)
-}
-
-// Reset discards every observation, keeping the port count.
-func (pp *PerPort) Reset() {
-	for i := range pp.Ports {
-		pp.Ports[i].Reset()
-	}
 }
 
 // Means returns the per-port means.

@@ -215,6 +215,14 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func(context.
 	}
 
 	s.mu.Lock()
+	// Re-check the memory front under the lock: a computation may have
+	// stored its result and left the flight table since the lookup
+	// above, and would otherwise run again.
+	if data, ok := s.memGetLocked(key); ok {
+		s.mu.Unlock()
+		s.memHits.Add(1)
+		return data, true, nil
+	}
 	if c, ok := s.flight[key]; ok {
 		c.waiters++
 		s.mu.Unlock()
@@ -284,11 +292,16 @@ func (s *Store) Stats() Stats {
 
 // memGet looks the key up in the LRU front, promoting it on hit.
 func (s *Store) memGet(key Key) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.memGetLocked(key)
+}
+
+// memGetLocked is memGet for a caller already holding s.mu.
+func (s *Store) memGetLocked(key Key) ([]byte, bool) {
 	if s.opts.MemEntries < 0 {
 		return nil, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	el, ok := s.byKey[key]
 	if !ok {
 		return nil, false

@@ -249,6 +249,48 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// TestConcurrentCallersComputeOnce: concurrent callers of one key must
+// compute it exactly once, including the interleaving where a caller's
+// cache lookup misses just before another caller's computation stores
+// its result and leaves the in-flight table — that caller finds
+// neither, and must not compute the key again. The memory front holds
+// every key, so no result is evicted while its callers still race.
+func TestConcurrentCallersComputeOnce(t *testing.T) {
+	const keys, callers = 2000, 4
+	s, err := Open(t.TempDir(), Options{MemEntries: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := make([]atomic.Int64, keys)
+	var wg sync.WaitGroup
+	for k := 0; k < keys; k++ {
+		key := mustKey(t, s, "race", k)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := s.GetOrCompute(context.Background(), key, constCompute([]byte{byte(k)}, &calls[k])); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	var doubled int
+	for k := range calls {
+		if calls[k].Load() != 1 {
+			doubled++
+		}
+	}
+	if doubled > 0 {
+		t.Fatalf("%d of %d keys computed more than once", doubled, keys)
+	}
+	st := s.Stats()
+	if st.Misses != keys || st.MemHits+st.DiskHits+st.Shared != keys*(callers-1) {
+		t.Fatalf("stats = %+v, want %d misses and %d hits or shared waits", st, keys, keys*(callers-1))
+	}
+}
+
 // TestCancelledWaiterDoesNotAbortOthers: one caller giving up must not
 // cancel a computation another caller still wants.
 func TestCancelledWaiterDoesNotAbortOthers(t *testing.T) {
