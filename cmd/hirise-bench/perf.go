@@ -77,6 +77,7 @@ func perfSuite() []struct {
 			}
 			return sw
 		})},
+		{"sim/VOQ/radix=64", perfVOQ(64)},
 		{"fabric/DragonflySaturation/routers=72", perfFabric(
 			fabric.Dragonfly{Groups: 9, GroupSize: 8, GlobalPorts: 1, Conc: 2, Lanes: 1})},
 		{"fabric/MeshSaturation/routers=256", perfFabric(fabric.Mesh{W: 16, H: 16, Conc: 4, Lanes: 1})},
@@ -357,6 +358,26 @@ func perfSim(mk func() sim.Switch) func(b *testing.B) {
 				Switch:  mk(),
 				Traffic: traffic.Uniform{Radix: 64},
 				Load:    0.2, Warmup: 500, Measure: 2000, Seed: 1,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// perfVOQ benchmarks one VOQ-crossbar simulation per op: 500 warmup +
+// 2000 measured cycles of uniform traffic at 95% load under two-iteration
+// iSLIP, the sched-shootout's near-saturation operating point. Every op
+// builds a fresh scheduler, so allocs/op counts the scheduler and the
+// run's setup; the cycle loop itself allocates nothing.
+func perfVOQ(radix int) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.RunVOQ(sim.VOQConfig{
+				Radix: radix, Sched: sched.NewISLIP(radix, 2),
+				Traffic: traffic.Uniform{Radix: radix},
+				Load:    0.95, Warmup: 500, Measure: 2000, Seed: 1,
 			}); err != nil {
 				b.Fatal(err)
 			}

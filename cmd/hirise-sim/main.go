@@ -174,6 +174,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// Shape checks the simulators would otherwise hit as a panic. The
+	// fabric design takes its size from the topology flags and checks
+	// -target against its core count itself (fabric.go).
+	if strings.ToLower(*design) != "fabric" {
+		if *radix < 1 {
+			fail("-radix %d: need at least 1 port", *radix)
+		}
+		if strings.ToLower(*pattern) == "hotspot" && (*target < 0 || *target >= *radix) {
+			fail("-target %d outside the radix-%d switch's outputs 0..%d", *target, *radix, *radix-1)
+		}
+	}
+
 	// SIGINT/SIGTERM cancels ctx; the simulator polls it between cycles
 	// and the sweep pool skips pending points.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -262,3 +262,95 @@ func (v Vec) ForEach(fn func(i int)) {
 		}
 	}
 }
+
+// RotateRight sets v to the low n bits of src rotated right by r
+// places, 0 ≤ r ≤ n: bit k of v becomes bit (k+r) mod n of src for
+// every k < n. v must be sized for n bits (WordsFor(n) words); src may
+// be longer, but its bits at and beyond n must be zero. v and src must
+// not overlap. Rotating left by r is rotating right by n-r.
+func (v Vec) RotateRight(src Vec, r, n int) {
+	if len(v) == 1 {
+		x := src[0]
+		v[0] = (x>>uint(r) | x<<uint(n-r)) & tailMask(n)
+		return
+	}
+	// Bit k of the result is bit k+r of src when k+r < n and bit k+r-n
+	// otherwise; src is zero at and beyond bit n and (as window reads
+	// it) below bit 0, so the two 64-bit windows never overlap.
+	for w := range v {
+		v[w] = src.window(w<<6+r) | src.window(w<<6+r-n)
+	}
+	last := len(v) - 1
+	v[last] &= tailMask(n - last<<6)
+}
+
+// window returns the 64 bits of v starting at bit offset s, reading
+// bits outside [0, 64*len(v)) as zero. s may be negative.
+func (v Vec) window(s int) uint64 {
+	q, b := s>>6, uint(s)&63 // floor division, also for negative s
+	return v.word(q)>>b | v.word(q+1)<<(64-b)
+}
+
+// word returns word i of v, or 0 when i is out of range.
+func (v Vec) word(i int) uint64 {
+	if uint(i) < uint(len(v)) {
+		return v[i]
+	}
+	return 0
+}
+
+// Transpose writes the transpose of the n×n bit matrix src into dst:
+// bit i of dst[j] becomes bit j of src[i], for i, j < n. Rows of src
+// must hold at least WordsFor(n) words with every bit at or beyond n
+// zero; dst needs n rows sized for n bits, and must not share storage
+// with src. The matrix is cut into 64×64 tiles: tile (bi, bj) — rows
+// 64bi.., word bj — is gathered into a stack array, transposed there by
+// transpose64, and scattered to rows 64bj.., word bi of dst.
+// Transpose does not allocate.
+func Transpose(dst, src []Vec, n int) {
+	var t [64]uint64
+	words := WordsFor(n)
+	for bi := 0; bi < words; bi++ {
+		r0 := bi << 6
+		rows := min(64, n-r0)
+		for bj := 0; bj < words; bj++ {
+			c0 := bj << 6
+			cols := min(64, n-c0)
+			for r := 0; r < rows; r++ {
+				t[r] = src[r0+r][bj]
+			}
+			clear(t[rows:])
+			transpose64(&t)
+			for c := 0; c < cols; c++ {
+				dst[c0+c][bi] = t[c]
+			}
+		}
+	}
+}
+
+// transpose64 transposes the 64×64 bit tile a in place (bit j of a[i]
+// swaps with bit i of a[j]) with the recursive block swap of Hacker's
+// Delight §7-3: six rounds, each exchanging the off-diagonal j×j blocks
+// (j = 32, 16, …, 1) of every 2j×2j block by one masked XOR swap per
+// row pair.
+func transpose64(a *[64]uint64) {
+	swapBlocks(a, 32, 0x00000000ffffffff)
+	swapBlocks(a, 16, 0x0000ffff0000ffff)
+	swapBlocks(a, 8, 0x00ff00ff00ff00ff)
+	swapBlocks(a, 4, 0x0f0f0f0f0f0f0f0f)
+	swapBlocks(a, 2, 0x3333333333333333)
+	swapBlocks(a, 1, 0x5555555555555555)
+}
+
+// swapBlocks is one transpose64 round: for each row k whose bit j is
+// clear, the bits of row k selected by m<<j trade places with the bits
+// of row k+j selected by m.
+func swapBlocks(a *[64]uint64, j uint, m uint64) {
+	for base := uint(0); base < 64; base += 2 * j {
+		for k := base; k < base+j; k++ {
+			t := (a[k&63]>>j ^ a[(k+j)&63]) & m
+			a[(k+j)&63] ^= t
+			a[k&63] ^= t << j
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -252,5 +253,120 @@ func TestFromBoolsRoundTrip(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRotateRightMatchesReference checks the n-bit rotation against the
+// bool model at every shift 0..n, for sizes on both sides of each word
+// boundary, and that rotating right by r then by n-r restores the input.
+func TestRotateRightMatchesReference(t *testing.T) {
+	src := prng.New(17)
+	for _, n := range []int{1, 2, 13, 63, 64, 65, 100, 127, 128, 129, 130, 200} {
+		a := randomRef(src, n, 0.5)
+		va := a.toVec()
+		got, back := New(n), New(n)
+		want := make(refBits, n)
+		for r := 0; r <= n; r++ {
+			for k := range want {
+				want[k] = a[(k+r)%n]
+			}
+			got.RotateRight(va, r, n)
+			if !eqRef(vecToRef(got, n), want) {
+				t.Fatalf("n=%d r=%d: RotateRight = %v, want %v", n, r, setIndices(vecToRef(got, n)), setIndices(want))
+			}
+			if n&63 != 0 && got[len(got)-1]>>(uint(n)&63) != 0 {
+				t.Fatalf("n=%d r=%d: bits beyond n set", n, r)
+			}
+			back.RotateRight(got, n-r, n)
+			if !back.Equal(va) {
+				t.Fatalf("n=%d r=%d: rotating back by n-r does not restore the input", n, r)
+			}
+		}
+	}
+}
+
+// vecToRef reads the first n bits of v into the bool model.
+func vecToRef(v Vec, n int) refBits {
+	r := make(refBits, n)
+	v.FillBools(r)
+	return r
+}
+
+// TestTransposeMatchesReference checks the tiled transpose against the
+// bit-by-bit definition for sizes that leave partial tiles on either
+// axis, at several densities, and that dst is fully overwritten (stale
+// bits from an earlier call never survive, including in all-zero tiles).
+func TestTransposeMatchesReference(t *testing.T) {
+	src := prng.New(23)
+	for _, n := range []int{1, 2, 7, 63, 64, 65, 127, 128, 130, 200} {
+		m := make([]Vec, n)
+		tr := make([]Vec, n)
+		back := make([]Vec, n)
+		for i := range m {
+			m[i], tr[i], back[i] = New(n), New(n), New(n)
+			tr[i].SetFirstN(n) // stale garbage Transpose must overwrite
+		}
+		for _, p := range []float64{0, 0.02, 0.5, 1} {
+			rows := make([]refBits, n)
+			for i := range m {
+				rows[i] = randomRef(src, n, p)
+				m[i].FromBools(rows[i])
+			}
+			Transpose(tr, m, n)
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					if tr[j].Get(i) != rows[i][j] {
+						t.Fatalf("n=%d p=%v: transpose bit (%d,%d) = %v, want %v", n, p, j, i, tr[j].Get(i), rows[i][j])
+					}
+				}
+			}
+			Transpose(back, tr, n)
+			for i := range m {
+				if !back[i].Equal(m[i]) {
+					t.Fatalf("n=%d p=%v: transposing twice changed row %d", n, p, i)
+				}
+			}
+		}
+	}
+}
+
+// TestTransposeAndRotateZeroAllocs pins both primitives allocation-free:
+// the transpose's tile lives on the stack.
+func TestTransposeAndRotateZeroAllocs(t *testing.T) {
+	for _, n := range []int{64, 130} {
+		m := make([]Vec, n)
+		tr := make([]Vec, n)
+		for i := range m {
+			m[i], tr[i] = New(n), New(n)
+			m[i].Set(i)
+		}
+		if avg := testing.AllocsPerRun(10, func() {
+			Transpose(tr, m, n)
+			tr[0].RotateRight(m[1], 3, n)
+		}); avg != 0 {
+			t.Errorf("n=%d: %.1f allocs/op, want 0", n, avg)
+		}
+	}
+}
+
+// BenchmarkTranspose times one n×n transpose of a ~25% dense matrix.
+func BenchmarkTranspose(b *testing.B) {
+	src := prng.New(7)
+	for _, n := range []int{64, 128} {
+		m := make([]Vec, n)
+		tr := make([]Vec, n)
+		for i := range m {
+			m[i], tr[i] = New(n), New(n)
+			for j := 0; j < n; j++ {
+				if src.Bernoulli(0.25) {
+					m[i].Set(j)
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Transpose(tr, m, n)
+			}
+		})
 	}
 }

@@ -33,7 +33,7 @@ type ISLIP struct {
 
 	// Scratch reused across Schedule calls (all zeroed or overwritten
 	// before use, so calls are independent):
-	col      []bitvec.Vec // transposed requests: inputs per output
+	col      []bitvec.Vec // transposed requests: inputs per output (bitvec.Transpose)
 	grants   []bitvec.Vec // grants received by each input this iteration
 	anyGrant bitvec.Vec   // inputs with ≥1 grant this iteration
 	cand     bitvec.Vec   // candidate inputs for one output
@@ -67,7 +67,7 @@ func (s *ISLIP) Iters() int { return s.iters }
 // weight-blind).
 func (s *ISLIP) Schedule(req []bitvec.Vec, _ []int32, match []int) int {
 	n := s.n
-	transpose(req, s.col, n)
+	bitvec.Transpose(s.col, req, n)
 	for in := 0; in < n; in++ {
 		match[in] = -1
 	}

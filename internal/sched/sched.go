@@ -26,11 +26,7 @@
 // confined to one goroutine.
 package sched
 
-import (
-	"math/bits"
-
-	"github.com/reprolab/hirise/internal/bitvec"
-)
+import "github.com/reprolab/hirise/internal/bitvec"
 
 // Scheduler computes one crossbar matching per scheduling phase.
 type Scheduler interface {
@@ -38,7 +34,9 @@ type Scheduler interface {
 	N() int
 	// Schedule computes a matching over the request matrix: req[in] is
 	// the bitset of outputs input in has cells queued for (len(req) ≥ N,
-	// each row sized for N bits). qlen, when non-nil, supplies VOQ
+	// each row sized for N bits, with every bit at or beyond N zero:
+	// iSLIP's transpose and the wavefront's row rotation would read a
+	// stray tail bit as a request). qlen, when non-nil, supplies VOQ
 	// occupancies in cells at index in*N+out; weight-blind schedulers
 	// (ISLIP, Wavefront) ignore it, MWM uses it as the edge weight.
 	// The matching is written into match (len ≥ N): match[in] is the
@@ -46,24 +44,6 @@ type Scheduler interface {
 	// matched pairs. It must not retain or mutate req or qlen, and hot
 	// implementations do not allocate.
 	Schedule(req []bitvec.Vec, qlen []int32, match []int) int
-}
-
-// transpose scatters the row bitsets req[0..n) into the column bitsets
-// col[0..n): col[out] holds the inputs requesting out. col rows are
-// zeroed first.
-func transpose(req []bitvec.Vec, col []bitvec.Vec, n int) {
-	for o := 0; o < n; o++ {
-		col[o].Zero()
-	}
-	for in := 0; in < n; in++ {
-		for w, word := range req[in] {
-			for word != 0 {
-				o := w<<6 | bits.TrailingZeros64(word)
-				word &= word - 1
-				col[o].Set(in)
-			}
-		}
-	}
 }
 
 // newMatrix returns n bitset rows of n bits each.

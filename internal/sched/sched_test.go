@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/reprolab/hirise/internal/bitvec"
@@ -389,11 +390,11 @@ func TestWavefrontRotatesPriority(t *testing.T) {
 	}
 }
 
-// TestScheduleZeroAllocs pins the hot loops at 0 allocs/op for radix 64
-// and 128 (acceptance criterion, as in the PR 4 kernel pins).
+// TestScheduleZeroAllocs pins the hot loops at 0 allocs/op on both
+// sides of each word boundary, from one port to three words.
 func TestScheduleZeroAllocs(t *testing.T) {
 	src := prng.New(11)
-	for _, n := range []int{64, 128} {
+	for _, n := range []int{1, 63, 64, 65, 128, 130} {
 		req := newMatrix(n)
 		qlen := make([]int32, n*n)
 		match := make([]int, n)
@@ -405,6 +406,37 @@ func TestScheduleZeroAllocs(t *testing.T) {
 			}); avg != 0 {
 				t.Errorf("%s n=%d: %.1f allocs/op, want 0", name, n, avg)
 			}
+		}
+	}
+}
+
+// BenchmarkSchedule times one matching per op over a fixed ~25% dense
+// request matrix with queue-length weights; hirise-bench -perf runs the
+// same workload as its sched/* rows.
+func BenchmarkSchedule(b *testing.B) {
+	for _, n := range []int{64, 128} {
+		for _, sc := range []struct {
+			name string
+			s    Scheduler
+		}{{"ISLIP2", NewISLIP(n, 2)}, {"Wavefront", NewWavefront(n)}} {
+			src := prng.New(7)
+			req := newMatrix(n)
+			qlen := make([]int32, n*n)
+			match := make([]int, n)
+			for i := range req {
+				for o := 0; o < n; o++ {
+					if src.Bernoulli(0.25) {
+						req[i].Set(o)
+						qlen[i*n+o] = int32(1 + src.Intn(8))
+					}
+				}
+			}
+			b.Run(fmt.Sprintf("%s/n=%d", sc.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sc.s.Schedule(req, qlen, match)
+				}
+			})
 		}
 	}
 }

@@ -15,12 +15,24 @@ import (
 // which makes the matching maximal by construction; rotating the
 // starting diagonal each phase removes the static bias toward the
 // first-swept cells.
+//
+// The software wave is as parallel as the hardware one. Schedule
+// rotates request row i right by i and transposes the result, so word
+// d of the transpose is diagonal d as a bitset over inputs (bit i is
+// the cell (i, (i+d) mod n)). One wave is then a handful of word
+// operations per 64 cells: the diagonal masked by the free inputs and
+// by the free outputs rotated onto the diagonal's inputs.
 type Wavefront struct {
 	n int
 	p int // starting diagonal, rotated every Schedule call
 
-	freeIn  bitvec.Vec
-	freeOut bitvec.Vec
+	// Scratch reused across Schedule calls (overwritten before use):
+	rot     []bitvec.Vec // rot[i] = request row i rotated right by i
+	diag    []bitvec.Vec // diag[d] bit i = request (i, (i+d) mod n)
+	freeIn  bitvec.Vec   // inputs not yet matched
+	freeOut bitvec.Vec   // outputs not yet matched
+	cells   bitvec.Vec   // this wave's matches, by input
+	outRot  bitvec.Vec   // freeOut rotated onto a diagonal's inputs
 }
 
 // NewWavefront returns a wavefront allocator over n ports.
@@ -28,7 +40,11 @@ func NewWavefront(n int) *Wavefront {
 	if n <= 0 {
 		panic(fmt.Sprintf("sched: invalid wavefront shape n=%d", n))
 	}
-	return &Wavefront{n: n, freeIn: bitvec.New(n), freeOut: bitvec.New(n)}
+	return &Wavefront{
+		n: n, rot: newMatrix(n), diag: newMatrix(n),
+		freeIn: bitvec.New(n), freeOut: bitvec.New(n),
+		cells: bitvec.New(n), outRot: bitvec.New(n),
+	}
 }
 
 // N implements Scheduler.
@@ -38,9 +54,11 @@ func (s *Wavefront) N() int { return s.n }
 // weight-blind).
 func (s *Wavefront) Schedule(req []bitvec.Vec, _ []int32, match []int) int {
 	n := s.n
-	for in := 0; in < n; in++ {
-		match[in] = -1
+	for i := 0; i < n; i++ {
+		match[i] = -1
+		s.rot[i].RotateRight(req[i], i, n)
 	}
+	bitvec.Transpose(s.diag, s.rot, n)
 	s.freeIn.SetFirstN(n)
 	s.freeOut.SetFirstN(n)
 	matched := 0
@@ -49,8 +67,18 @@ func (s *Wavefront) Schedule(req []bitvec.Vec, _ []int32, match []int) int {
 		if d >= n {
 			d -= n
 		}
-		// Diagonal d holds the cells (i, (i+d) mod n).
-		for w, word := range s.freeIn {
+		// cells = diag[d] & freeIn & rotr(freeOut, d): input i's bit in
+		// the rotated freeOut is output (i+d) mod n.
+		s.cells.Copy(s.diag[d])
+		s.cells.And(s.freeIn)
+		s.outRot.RotateRight(s.freeOut, d, n)
+		s.cells.And(s.outRot)
+		// The cells touch distinct inputs and distinct outputs, so all
+		// of them match at once. Writing match visits each cell anyway,
+		// and clears its output there: cheaper than rotating the cells
+		// back by d to clear the outputs as one word operation.
+		s.freeIn.AndNot(s.cells)
+		for w, word := range s.cells {
 			for word != 0 {
 				i := w<<6 | bits.TrailingZeros64(word)
 				word &= word - 1
@@ -58,12 +86,9 @@ func (s *Wavefront) Schedule(req []bitvec.Vec, _ []int32, match []int) int {
 				if j >= n {
 					j -= n
 				}
-				if s.freeOut.Get(j) && req[i].Get(j) {
-					match[i] = j
-					matched++
-					s.freeIn.Clear(i)
-					s.freeOut.Clear(j)
-				}
+				match[i] = j
+				matched++
+				s.freeOut.Clear(j)
 			}
 		}
 	}

@@ -150,6 +150,14 @@ func (r *Request) normalize() error {
 		if _, _, err := r.sweepFactories(); err != nil {
 			return err
 		}
+		// A Hi-Rise radix was validated above; the crossbar designs
+		// build no switch there, so their shape is checked here.
+		if r.Radix < 1 {
+			return fmt.Errorf("serve: radix %d must be positive", r.Radix)
+		}
+		if r.Traffic == "hotspot" && (r.Target < 0 || r.Target >= r.Radix) {
+			return fmt.Errorf("serve: hotspot target %d outside the radix-%d switch's outputs 0..%d", r.Target, r.Radix, r.Radix-1)
+		}
 		return nil
 	default:
 		return fmt.Errorf("serve: unknown kind %q (want experiment or loadsweep)", r.Kind)

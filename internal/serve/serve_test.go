@@ -299,6 +299,8 @@ func TestBadRequests(t *testing.T) {
 		`{"kind":"loadsweep","loads":[0.1],"lo":0.1,"hi":0.2,"step":0.1}`,
 		`{"kind":"experiment","experiment":"no-such-experiment"}`,
 		`{"kind":"experiment","experiment":"table1","format":"yaml"}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"traffic":"hotspot","target":99,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":-8,"loads":[0.1]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
