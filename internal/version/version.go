@@ -17,4 +17,6 @@ package version
 //	model-4  noc lane tie-break rehashed on a seed-derived flow hash
 //	         (kilocore output changes); fabric simulator landed
 //	model-5  kilocore runs on fabric; noc deleted
-const Model = "model-5"
+//	model-6  hirise-sim -design 2d runs interlayer, layerlocal and binadv
+//	         traffic on the -layers map, as served loadsweeps do
+const Model = "model-6"
