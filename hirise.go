@@ -425,21 +425,6 @@ func NewPermutationTraffic(radix int, seed uint64) PermutationTraffic {
 	return traffic.NewRandomPermutation(radix, seed)
 }
 
-// BitReverseTraffic returns the bit-reversal permutation pattern (radix
-// must be a power of two).
-func BitReverseTraffic(radix int) TrafficPattern { return traffic.BitReverse{Radix: radix} }
-
-// InterLayerTraffic returns the paper's §VI-B pathological corner: purely
-// inter-layer traffic that serializes on the L2LCs.
-func InterLayerTraffic(cfg Config) TrafficPattern { return traffic.InterLayerWorstCase{Cfg: cfg} }
-
-// LayerLocalTraffic keeps all traffic within each source's layer.
-func LayerLocalTraffic(cfg Config) TrafficPattern { return traffic.LayerLocal{Cfg: cfg} }
-
-// BinAdversarialTraffic activates only inputs sharing L2LC channel 0
-// under input binning (the §III-A motivation for priority allocation).
-func BinAdversarialTraffic(cfg Config) TrafficPattern { return traffic.BinAdversarial{Cfg: cfg} }
-
 // Many-core system model (paper §VI-D).
 type (
 	// SystemConfig holds the Table III system parameters.

@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/reprolab/hirise/internal/core"
-	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/experiments"
 	"github.com/reprolab/hirise/internal/sim"
+	"github.com/reprolab/hirise/internal/spec"
 	"github.com/reprolab/hirise/internal/store"
-	"github.com/reprolab/hirise/internal/topo"
-	"github.com/reprolab/hirise/internal/traffic"
 )
 
 // Request is the body of POST /jobs: either a registered paper
@@ -37,23 +34,19 @@ type Request struct {
 	// "text").
 	Format string `json:"format,omitempty"`
 
-	// Load-sweep fields (Kind "loadsweep").
+	// Load-sweep fields (Kind "loadsweep") are spec.Spec's, named like
+	// hirise-sim's flags; an omitted one takes spec.Default's value.
 
-	// Design is "2d", "folded", or "hirise" (default "hirise").
-	Design string `json:"design,omitempty"`
-	// Radix, Layers, Channels, Classes, Scheme, Alloc mirror the
-	// hirise-sim flags (defaults: 64, 4, 4, 3, "clrg", "input").
-	Radix    int    `json:"radix,omitempty"`
-	Layers   int    `json:"layers,omitempty"`
-	Channels int    `json:"channels,omitempty"`
-	Classes  int    `json:"classes,omitempty"`
-	Scheme   string `json:"scheme,omitempty"`
-	Alloc    string `json:"alloc,omitempty"`
-	// Traffic is the pattern name (default "uniform"); Target and Burst
-	// parameterize hotspot and bursty traffic.
-	Traffic string  `json:"traffic,omitempty"`
-	Target  int     `json:"target,omitempty"`
-	Burst   float64 `json:"burst,omitempty"`
+	Design   string  `json:"design,omitempty"`
+	Radix    int     `json:"radix,omitempty"`
+	Layers   int     `json:"layers,omitempty"`
+	Channels int     `json:"channels,omitempty"`
+	Classes  int     `json:"classes,omitempty"`
+	Scheme   string  `json:"scheme,omitempty"`
+	Alloc    string  `json:"alloc,omitempty"`
+	Traffic  string  `json:"traffic,omitempty"`
+	Target   int     `json:"target,omitempty"`
+	Burst    float64 `json:"burst,omitempty"`
 	// Loads lists the sweep's offered loads explicitly; alternatively
 	// Lo/Hi/Step describe an inclusive range. Exactly one form must be
 	// given.
@@ -61,9 +54,8 @@ type Request struct {
 	Lo    float64   `json:"lo,omitempty"`
 	Hi    float64   `json:"hi,omitempty"`
 	Step  float64   `json:"step,omitempty"`
-	// VCs and Flits mirror -vcs and -flits (defaults 4 and 4).
-	VCs   int `json:"vcs,omitempty"`
-	Flits int `json:"flits,omitempty"`
+	VCs   int       `json:"vcs,omitempty"`
+	Flits int       `json:"flits,omitempty"`
 
 	// Shared fidelity overrides (0 keeps the kind's default).
 
@@ -89,163 +81,61 @@ func (r *Request) normalize() error {
 		}
 		return nil
 	case "loadsweep":
-		if r.Design == "" {
-			r.Design = "hirise"
-		}
-		r.Design = strings.ToLower(r.Design)
-		if r.Radix == 0 {
-			r.Radix = 64
-		}
-		if r.Layers == 0 {
-			r.Layers = 4
-		}
-		if r.Channels == 0 {
-			r.Channels = 4
-		}
-		if r.Classes == 0 {
-			r.Classes = 3
-		}
-		if r.Scheme == "" {
-			r.Scheme = "clrg"
-		}
-		r.Scheme = strings.ToLower(r.Scheme)
-		if r.Alloc == "" {
-			r.Alloc = "input"
-		}
-		r.Alloc = strings.ToLower(r.Alloc)
-		if r.Traffic == "" {
-			r.Traffic = "uniform"
-		}
-		r.Traffic = strings.ToLower(r.Traffic)
-		if r.VCs == 0 {
-			r.VCs = 4
-		}
+		d := spec.Default
+		r.Design = strings.ToLower(or(r.Design, d.Design))
+		r.Radix = or(r.Radix, d.Radix)
+		r.Layers = or(r.Layers, d.Layers)
+		r.Channels = or(r.Channels, d.Channels)
+		r.Classes = or(r.Classes, d.Classes)
+		r.Scheme = strings.ToLower(or(r.Scheme, d.Scheme))
+		r.Alloc = strings.ToLower(or(r.Alloc, d.Alloc))
+		r.Traffic = strings.ToLower(or(r.Traffic, d.Traffic))
+		r.VCs = or(r.VCs, d.VCs)
 		if r.VCs < 1 || r.VCs > 64 {
 			return fmt.Errorf("serve: vcs %d out of range 1..64", r.VCs)
 		}
-		if r.Flits == 0 {
-			r.Flits = 4
-		}
-		if r.Seed == 0 {
-			r.Seed = 1
-		}
-		if r.Warmup == 0 {
-			r.Warmup = 10000
-		}
-		if r.Measure == 0 {
-			r.Measure = 50000
-		}
+		r.Flits = or(r.Flits, d.Flits)
+		r.Seed = or(r.Seed, d.Seed)
+		r.Warmup = or(r.Warmup, d.Warmup)
+		r.Measure = or(r.Measure, d.Measure)
 		if len(r.Loads) == 0 {
-			if r.Step <= 0 || r.Hi < r.Lo {
-				return fmt.Errorf("serve: loadsweep needs loads[] or lo/hi/step with step > 0 and hi >= lo")
+			loads, err := spec.Sweep(r.Lo, r.Hi, r.Step)
+			if err != nil {
+				return fmt.Errorf("serve: loadsweep needs loads[] or lo/hi/step: %v", err)
 			}
-			for l := r.Lo; l <= r.Hi+1e-12; l += r.Step {
-				r.Loads = append(r.Loads, l)
-			}
+			r.Loads = loads
 			r.Lo, r.Hi, r.Step = 0, 0, 0 // folded into Loads for the key
 		} else if r.Step != 0 || r.Lo != 0 || r.Hi != 0 {
 			return fmt.Errorf("serve: give loads[] or lo/hi/step, not both")
-		}
-		// Building the factories validates design/scheme/alloc/traffic.
-		if _, _, err := r.sweepFactories(); err != nil {
+		} else if err := spec.CheckLoads(r.Loads); err != nil {
 			return err
 		}
-		// A Hi-Rise radix was validated above; the crossbar designs
-		// build no switch there, so their shape is checked here.
-		if r.Radix < 1 {
-			return fmt.Errorf("serve: radix %d must be positive", r.Radix)
-		}
-		if r.Traffic == "hotspot" && (r.Target < 0 || r.Target >= r.Radix) {
-			return fmt.Errorf("serve: hotspot target %d outside the radix-%d switch's outputs 0..%d", r.Target, r.Radix, r.Radix-1)
-		}
-		return nil
+		_, _, err := r.sweepSpec().Factories()
+		return err
 	default:
 		return fmt.Errorf("serve: unknown kind %q (want experiment or loadsweep)", r.Kind)
 	}
 }
 
-// switchConfig assembles the topo.Config a loadsweep request describes.
-func (r *Request) switchConfig() (topo.Config, error) {
-	cfg := topo.Config{Radix: r.Radix, Layers: r.Layers, Channels: r.Channels, Classes: r.Classes}
-	switch r.Scheme {
-	case "l2l", "lrg":
-		cfg.Scheme = topo.L2LLRG
-	case "wlrg":
-		cfg.Scheme = topo.WLRG
-	case "clrg":
-		cfg.Scheme = topo.CLRG
-	default:
-		return cfg, fmt.Errorf("serve: unknown scheme %q", r.Scheme)
+// or returns v, or d when v is zero: an omitted field takes its default.
+func or[T comparable](v, d T) T {
+	var zero T
+	if v == zero {
+		return d
 	}
-	switch r.Alloc {
-	case "input":
-		cfg.Alloc = topo.InputBinned
-	case "output":
-		cfg.Alloc = topo.OutputBinned
-	case "priority":
-		cfg.Alloc = topo.PriorityBased
-	default:
-		return cfg, fmt.Errorf("serve: unknown allocation %q", r.Alloc)
-	}
-	return cfg, nil
+	return v
 }
 
-// sweepFactories returns pure switch and traffic factories for a
-// loadsweep request, validating every enum along the way.
-func (r *Request) sweepFactories() (func() sim.Switch, func() sim.Traffic, error) {
-	cfg, err := r.switchConfig()
-	if err != nil {
-		return nil, nil, err
+// sweepSpec maps a loadsweep request onto the spec both front ends
+// run. An omitted burst takes its default here rather than in the
+// request, so it stays out of the store key.
+func (r *Request) sweepSpec() spec.Spec {
+	return spec.Spec{
+		Design: r.Design, Radix: r.Radix, Layers: r.Layers, Channels: r.Channels, Classes: r.Classes,
+		Scheme: r.Scheme, Alloc: r.Alloc,
+		Traffic: r.Traffic, Target: r.Target, Burst: or(r.Burst, spec.Default.Burst), Seed: r.Seed,
+		VCs: r.VCs, Flits: r.Flits, Warmup: r.Warmup, Measure: r.Measure,
 	}
-	var mkSwitch func() sim.Switch
-	switch r.Design {
-	case "2d":
-		mkSwitch = func() sim.Switch { return crossbar.New(r.Radix) }
-	case "folded":
-		mkSwitch = func() sim.Switch { return crossbar.NewFolded(r.Radix, r.Layers) }
-	case "hirise":
-		if err := core.Validate(cfg); err != nil {
-			return nil, nil, err
-		}
-		mkSwitch = func() sim.Switch {
-			sw, err := core.New(cfg)
-			if err != nil {
-				panic(err) // validated above
-			}
-			return sw
-		}
-	default:
-		return nil, nil, fmt.Errorf("serve: unknown design %q", r.Design)
-	}
-
-	var mkTraffic func() sim.Traffic
-	switch r.Traffic {
-	case "uniform":
-		mkTraffic = func() sim.Traffic { return traffic.Uniform{Radix: r.Radix} }
-	case "hotspot":
-		mkTraffic = func() sim.Traffic { return traffic.Hotspot{Target: r.Target} }
-	case "adversarial":
-		mkTraffic = func() sim.Traffic { return traffic.Adversarial() }
-	case "bursty":
-		burst := r.Burst
-		if burst == 0 {
-			burst = 8
-		}
-		mkTraffic = func() sim.Traffic { return traffic.NewBursty(r.Radix, burst) }
-	case "permutation":
-		mkTraffic = func() sim.Traffic { return traffic.NewRandomPermutation(r.Radix, r.Seed) }
-	case "bitrev":
-		mkTraffic = func() sim.Traffic { return traffic.BitReverse{Radix: r.Radix} }
-	case "interlayer":
-		mkTraffic = func() sim.Traffic { return traffic.InterLayerWorstCase{Cfg: cfg} }
-	case "layerlocal":
-		mkTraffic = func() sim.Traffic { return traffic.LayerLocal{Cfg: cfg} }
-	case "binadv":
-		mkTraffic = func() sim.Traffic { return traffic.BinAdversarial{Cfg: cfg} }
-	default:
-		return nil, nil, fmt.Errorf("serve: unknown traffic %q", r.Traffic)
-	}
-	return mkSwitch, mkTraffic, nil
 }
 
 // keyPayload is what the store hashes for a job, alongside the kind and
@@ -319,7 +209,8 @@ func (s *Server) compute(ctx context.Context, j *job) ([]byte, error) {
 		return buf.Bytes(), nil
 
 	case "loadsweep":
-		mkSwitch, mkTraffic, err := j.req.sweepFactories()
+		sp := j.req.sweepSpec()
+		mkSwitch, mkTraffic, err := sp.Factories()
 		if err != nil {
 			return nil, err
 		}
@@ -327,11 +218,8 @@ func (s *Server) compute(ctx context.Context, j *job) ([]byte, error) {
 			j.progress.Add(1)
 			return mkSwitch()
 		}
-		base := sim.Config{
-			PacketFlits: j.req.Flits, VCs: j.req.VCs,
-			Warmup: j.req.Warmup, Measure: j.req.Measure,
-			Seed: j.req.Seed, Ctx: ctx,
-		}
+		base := sp.SimConfig()
+		base.Ctx = ctx
 		results, err := sim.LoadSweep(base, counted, mkTraffic, j.req.Loads, s.cfg.SimWorkers)
 		if err != nil {
 			return nil, err

@@ -287,8 +287,9 @@ func TestBackpressure(t *testing.T) {
 	waitState(t, ts, queued.ID, "done", func(s serve.Status) bool { return s.State.Terminal() })
 }
 
-// TestBadRequests: malformed bodies and invalid enums are rejected with
-// 400 before anything is queued.
+// TestBadRequests: malformed bodies, invalid enums and shapes are
+// rejected with 400 before anything is queued, and the server keeps
+// serving.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	for _, body := range []string{
@@ -301,6 +302,24 @@ func TestBadRequests(t *testing.T) {
 		`{"kind":"experiment","experiment":"table1","format":"yaml"}`,
 		`{"kind":"loadsweep","design":"2d","radix":8,"traffic":"hotspot","target":99,"loads":[0.1]}`,
 		`{"kind":"loadsweep","design":"2d","radix":-8,"loads":[0.1]}`,
+		// Shapes the switch or traffic constructors would panic on, or
+		// sizes that would exhaust memory, in the compute goroutine.
+		`{"kind":"loadsweep","design":"folded","radix":8,"layers":3,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"folded","radix":8,"layers":-2,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":48,"traffic":"bitrev","loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"traffic":"adversarial","loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"layers":-1,"traffic":"layerlocal","loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"channels":-1,"traffic":"binadv","loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":1000000,"loads":[0.1]}`,
+		`{"kind":"loadsweep","radix":1000000,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"lo":0,"hi":1,"step":1e-12}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"lo":1e17,"hi":1e17,"step":1}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"lo":-0.1,"hi":0.1,"step":0.1}`,
+		// Run knobs sim.Run would reject only after the job is queued.
+		`{"kind":"loadsweep","design":"2d","radix":8,"loads":[-0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"flits":-1,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"warmup":-1,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"measure":-1,"loads":[0.1]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -312,6 +331,9 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("body %s: HTTP %d, want 400", body, resp.StatusCode)
 		}
 	}
+	// The server is still serving.
+	st := submit(t, ts, quickSweep())
+	waitState(t, ts, st.ID, "done", func(s serve.Status) bool { return s.State == serve.Done })
 }
 
 // TestEventStream: the NDJSON stream carries the job's lifecycle in
