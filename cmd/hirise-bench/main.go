@@ -37,12 +37,6 @@
 // fails outright, while ns/op slowdowns beyond -perf-tolerance fail
 // unless -perf-warn-only downgrades them to warnings.
 //
-// -pgo-profile FILE runs a representative slice of the simulator's hot
-// paths (both campaign arms, the Hi-Rise CLRG model, a saturated fabric
-// run) under the CPU profiler and writes a pprof profile suitable for
-// profile-guided optimization; committed as cmd/hirise-bench/default.pgo
-// it feeds `go build -pgo=auto`.
-//
 // -converge-stop lets every simulation end early once the MSER
 // steady-state detector converges on its delivered-packet rate. Output
 // stays deterministic but differs from full-length runs; the -store key
@@ -101,8 +95,6 @@ func main() {
 			"fractional ns/op slowdown -perf-check tolerates before flagging (allocs/op increases always fail)")
 		perfWarnOnly = flag.Bool("perf-warn-only", false,
 			"-perf-check reports ns/op regressions as warnings instead of failing (allocs/op increases still fail)")
-		pgoOut = flag.String("pgo-profile", "",
-			"run a representative hot-path workload under the CPU profiler and write a PGO profile (default.pgo) to this file, then exit")
 
 		convStop = flag.Bool("converge-stop", false,
 			"let each simulation stop early once its delivered-packet rate reaches steady state (MSER); results stay deterministic but differ from full-length runs, and the store key records the flag")
@@ -135,13 +127,6 @@ func main() {
 	}
 	if *perfOut != "" {
 		if err := runPerf(*perfOut, *perfBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pgoOut != "" {
-		if err := runPGOProfile(*pgoOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
