@@ -151,6 +151,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-load", "-1"},
 		{"-load", "NaN"},
 		{"-flits", "-1"},
+		{"-design", "2d", "-radix", "8", "-flits", "4294967297"},
 		{"-design", "tesseract"},
 		{"-traffic", "shift"},
 	} {

@@ -170,11 +170,6 @@ func NewWLRG(lines int) *WLRG {
 	return &WLRG{lrg: NewLRG(lines), wins: make([]int, lines)}
 }
 
-// NewWLRGFromOrder is NewWLRG with an explicit initial priority order.
-func NewWLRGFromOrder(order []int) *WLRG {
-	return &WLRG{lrg: NewLRGFromOrder(order), wins: make([]int, len(order))}
-}
-
 // Lines returns the number of contending lines.
 func (w *WLRG) Lines() int { return w.lrg.N() }
 

@@ -71,9 +71,6 @@ func (q *QoS) Commit(req []bool, winner int) {
 	}
 }
 
-// Weight returns requestor i's configured weight.
-func (q *QoS) Weight(i int) int { return q.weights[i] }
-
 // qosAdapter exposes a QoS arbiter through the Arbiter interface by
 // remembering the last granted request mask. Grant/Update must be called
 // in the crossbar's strict grant-then-update order.

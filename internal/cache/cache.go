@@ -52,14 +52,6 @@ type Stats struct {
 	Writebacks int64
 }
 
-// MissRate returns misses per access.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one set-associative, write-back, LRU cache.
 type Cache struct {
 	cfg        Config

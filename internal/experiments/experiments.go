@@ -14,11 +14,10 @@ import (
 	"io"
 	"strings"
 
-	"github.com/reprolab/hirise/internal/core"
-	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/phys"
 	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/sim"
+	"github.com/reprolab/hirise/internal/spec"
 	"github.com/reprolab/hirise/internal/topo"
 )
 
@@ -196,25 +195,13 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Kind selects a switch family.
-type Kind int
-
-const (
-	// Flat2D is the 2D Swizzle-Switch baseline.
-	Flat2D Kind = iota
-	// Folded3D is the folded 2D switch baseline.
-	Folded3D
-	// HiRise3D is the paper's switch.
-	HiRise3D
-)
-
-// Design names one concrete switch under evaluation and builds fresh
-// simulator instances and physical costs for it.
+// Design names one concrete switch under evaluation. It builds, costs
+// and renders it through internal/spec's design table.
 type Design struct {
 	// Name is the row label.
 	Name string
-	// Kind is the switch family.
-	Kind Kind
+	// Spec is the spec design: "2d", "folded" or "hirise".
+	Spec string
 	// Cfg is the full configuration (2D uses only Radix; folded uses
 	// Radix and Layers).
 	Cfg topo.Config
@@ -223,61 +210,28 @@ type Design struct {
 // Designs used across experiments. The Hi-Rise variants use the paper's
 // 4-layer 64-radix geometry with input binning and 3 CLRG classes.
 func design2D(radix int) Design {
-	return Design{Name: "2D", Kind: Flat2D, Cfg: topo.Config{Radix: radix, Layers: 1}}
+	return Design{Name: "2D", Spec: "2d", Cfg: topo.Config{Radix: radix, Layers: 1}}
 }
 
 func designFolded(radix, layers int) Design {
-	return Design{Name: "3D Folded", Kind: Folded3D, Cfg: topo.Config{Radix: radix, Layers: layers}}
+	return Design{Name: "3D Folded", Spec: "folded", Cfg: topo.Config{Radix: radix, Layers: layers}}
 }
 
 func designHiRise(name string, channels int, scheme topo.Scheme) Design {
-	return Design{Name: name, Kind: HiRise3D, Cfg: topo.Config{
+	return Design{Name: name, Spec: "hirise", Cfg: topo.Config{
 		Radix: 64, Layers: 4, Channels: channels,
 		Alloc: topo.InputBinned, Scheme: scheme, Classes: 3,
 	}}
 }
 
 // NewSwitch builds a fresh simulator instance of the design.
-func (d Design) NewSwitch() sim.Switch {
-	switch d.Kind {
-	case Flat2D:
-		return crossbar.New(d.Cfg.Radix)
-	case Folded3D:
-		return crossbar.NewFolded(d.Cfg.Radix, d.Cfg.Layers)
-	default:
-		s, err := core.New(d.Cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: bad design %q: %v", d.Name, err))
-		}
-		return s
-	}
-}
+func (d Design) NewSwitch() sim.Switch { return spec.NewSwitch(d.Spec, d.Cfg) }
 
 // Cost returns the design's physical cost.
-func (d Design) Cost(tech phys.Tech) phys.Cost {
-	switch d.Kind {
-	case Flat2D:
-		return phys.Flat2D(d.Cfg.Radix, tech)
-	case Folded3D:
-		return phys.Folded(d.Cfg.Radix, d.Cfg.Layers, tech)
-	default:
-		return phys.HiRise(d.Cfg, tech)
-	}
-}
+func (d Design) Cost(tech phys.Tech) phys.Cost { return spec.CostOf(d.Spec, d.Cfg, tech) }
 
 // ConfigString renders the design's structure in the paper's table style.
-func (d Design) ConfigString() string {
-	switch d.Kind {
-	case Flat2D:
-		return fmt.Sprintf("%dx%d", d.Cfg.Radix, d.Cfg.Radix)
-	case Folded3D:
-		return fmt.Sprintf("[%dx%d]x%d", d.Cfg.Radix/d.Cfg.Layers, d.Cfg.Radix, d.Cfg.Layers)
-	default:
-		in, out := d.Cfg.LocalSwitchShape()
-		return fmt.Sprintf("[(%dx%d), %d.(%dx1)]x%d",
-			in, out, d.Cfg.PortsPerLayer(), d.Cfg.SubBlockInputs(), d.Cfg.Layers)
-	}
-}
+func (d Design) ConfigString() string { return spec.ConfigString(d.Spec, d.Cfg) }
 
 // sweep runs fn(i) for i in [0,n) through the bounded worker pool at the
 // options' worker count and waits. fn must write only index-owned state;

@@ -15,7 +15,7 @@ import (
 func hiriseAt(radix, layers, channels int, scheme topo.Scheme) Design {
 	return Design{
 		Name: fmt.Sprintf("3D %d-Channel", channels),
-		Kind: HiRise3D,
+		Spec: "hirise",
 		Cfg: topo.Config{
 			Radix: radix, Layers: layers, Channels: channels,
 			Alloc: topo.InputBinned, Scheme: scheme, Classes: 3,

@@ -12,7 +12,6 @@ import (
 	"github.com/reprolab/hirise/internal/prng"
 	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/stats"
-	"github.com/reprolab/hirise/internal/tele"
 )
 
 // Config parameterizes one fabric simulation. The per-router discipline
@@ -295,7 +294,7 @@ type network struct {
 
 	rel []int // pending releases, encoded node*radix+port
 
-	hist *stats.Histogram
+	hist *obs.Histogram
 	hops stats.Summary
 
 	// Conservation and watchdog state.
@@ -310,8 +309,6 @@ type network struct {
 	mLatency                                *obs.Histogram
 	hopHist                                 []*obs.Histogram
 	linkBusy                                []*obs.Counter
-	tInjected, tDelivered, tDropped, tFlits *tele.Counter
-	tWins, tLosses, tDead                   *tele.Counter
 }
 
 // Run executes one fabric simulation and returns its measurements. It
@@ -337,7 +334,7 @@ func newNetwork(cfg Config) *network {
 		vcs:   cfg.VCs,
 		nodes: make([]router, t.Nodes()),
 		src:   make([]source, t.Nodes()*t.Concentration()),
-		hist:  stats.NewHistogram(4, 4096),
+		hist:  obs.NewHistogram(4, 4096),
 	}
 	// All router-local state and the route tables come from a handful of
 	// network-wide slabs: a 72-router dragonfly otherwise pays thousands
@@ -537,28 +534,22 @@ func (n *network) run() (Result, error) {
 	// Per-hop histograms and per-link counters are created lazily, and
 	// only when a registry can hold them.
 	metricsOn := obsOn && cfg.Obs.Metrics != nil
+	// Each event counter is one handle, read as a track by the sampler
+	// when there is one.
+	samp := cfg.Obs.Sampler()
 	n.rec = cfg.Obs.Rec()
-	n.mInjected = cfg.Obs.Counter("fabric.packets.injected")
-	n.mDelivered = cfg.Obs.Counter("fabric.packets.delivered")
-	n.mDropped = cfg.Obs.Counter("fabric.packets.dropped")
-	n.mFlits = cfg.Obs.Counter("fabric.flits.delivered")
-	n.mWins = cfg.Obs.Counter("fabric.arb.wins")
-	n.mLosses = cfg.Obs.Counter("fabric.arb.losses")
-	n.mDead = cfg.Obs.Counter("fabric.packets.dead")
+	n.mInjected = cfg.Obs.TrackedCounter(samp, "fabric.packets.injected")
+	n.mDelivered = cfg.Obs.TrackedCounter(samp, "fabric.packets.delivered")
+	n.mDropped = cfg.Obs.TrackedCounter(samp, "fabric.packets.dropped")
+	n.mFlits = cfg.Obs.TrackedCounter(samp, "fabric.flits.delivered")
+	n.mWins = cfg.Obs.TrackedCounter(samp, "fabric.arb.wins")
+	n.mLosses = cfg.Obs.TrackedCounter(samp, "fabric.arb.losses")
+	n.mDead = cfg.Obs.TrackedCounter(samp, "fabric.packets.dead")
 	n.mLatency = cfg.Obs.Histogram("fabric.latency.cycles", 4, 4096)
 	cfg.Obs.Gauge("fabric.offered.load").Set(cfg.Load)
 	if metricsOn {
 		n.linkBusy = make([]*obs.Counter, len(n.nodes)*n.radix)
 	}
-
-	samp := cfg.Obs.Sampler()
-	n.tInjected = samp.Counter("fabric.packets.injected")
-	n.tDelivered = samp.Counter("fabric.packets.delivered")
-	n.tDropped = samp.Counter("fabric.packets.dropped")
-	n.tFlits = samp.Counter("fabric.flits.delivered")
-	n.tWins = samp.Counter("fabric.arb.wins")
-	n.tLosses = samp.Counter("fabric.arb.losses")
-	n.tDead = samp.Counter("fabric.packets.dead")
 	if samp != nil {
 		samp.GaugeFunc("fabric.queue.occupancy", func() float64 {
 			var occ int64 = n.inNet
@@ -622,7 +613,7 @@ func (n *network) run() (Result, error) {
 				if out < n.conc {
 					lat := cycle - pkt.birth
 					if measuring {
-						n.hist.Add(float64(lat))
+						n.hist.Observe(float64(lat))
 						n.hops.Add(float64(pkt.hops))
 						delivered++
 						flits += int64(cfg.PacketFlits)
@@ -631,8 +622,6 @@ func (n *network) run() (Result, error) {
 					n.lastActivity = cycle
 					n.mDelivered.Inc()
 					n.mFlits.Add(int64(cfg.PacketFlits))
-					n.tDelivered.Inc()
-					n.tFlits.Add(int64(cfg.PacketFlits))
 					n.mLatency.Observe(float64(lat))
 					if metricsOn {
 						n.hopHistFor(int(pkt.hops)).Observe(float64(lat))
@@ -683,7 +672,6 @@ func (n *network) run() (Result, error) {
 							n.deadTotal++
 							n.lastActivity = cycle
 							n.mDead.Inc()
-							n.tDead.Inc()
 							n.rec.Record(cycle, obs.EvDeadFlow, gp, int(dead.dest), int(cycle-dead.birth))
 							continue
 						}
@@ -726,14 +714,12 @@ func (n *network) run() (Result, error) {
 				}
 				n.lastActivity = cycle
 				n.mWins.Inc()
-				n.tWins.Inc()
 				n.rec.Record(cycle, obs.EvArbWin, ni*n.radix+g.In, ni*n.radix+g.Out, cfg.PacketFlits)
 			}
-			if obsOn || samp != nil {
+			if obsOn {
 				for in := range nd.req {
 					if nd.req[in] >= 0 && !nd.active[in] {
 						n.mLosses.Inc()
-						n.tLosses.Inc()
 						n.rec.Record(cycle, obs.EvArbLose, ni*n.radix+in, ni*n.radix+nd.req[in], 0)
 					}
 				}
@@ -758,7 +744,6 @@ func (n *network) run() (Result, error) {
 						dropped++
 					}
 					n.mDropped.Inc()
-					n.tDropped.Inc()
 					n.rec.Record(cycle, obs.EvDrop, core, dest, 0)
 				} else {
 					pkt := packet{
@@ -782,7 +767,6 @@ func (n *network) run() (Result, error) {
 						injected++
 					}
 					n.mInjected.Inc()
-					n.tInjected.Inc()
 					n.rec.Record(cycle, obs.EvInject, core, dest, 0)
 				}
 			}

@@ -271,13 +271,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	sched := buildSchedule(cfg)
 
-	var samp *tele.Sampler
+	var sampler *tele.Sampler
 	if cfg.TelemetryWindow > 0 {
-		samp = tele.NewSampler(1, tele.DefaultMaxWindows)
-		samp.CounterFunc("loadgen.submitted", g.submitted.Load)
-		samp.CounterFunc("loadgen.terminal", g.terminal.Load)
-		samp.CounterFunc("loadgen.rejected429", g.rejected429.Load)
-		samp.GaugeFunc("loadgen.inflight", func() float64 { return float64(g.inflight.Load()) })
+		sampler = tele.NewSampler(1, tele.DefaultMaxWindows)
+		sampler.CounterFunc("loadgen.submitted", g.submitted.Load)
+		sampler.CounterFunc("loadgen.terminal", g.terminal.Load)
+		sampler.CounterFunc("loadgen.rejected429", g.rejected429.Load)
+		sampler.GaugeFunc("loadgen.inflight", func() float64 { return float64(g.inflight.Load()) })
 	}
 
 	g.start = time.Now()
@@ -290,7 +290,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	lats := make([]float64, 0, cfg.Requests)
 	var ticker *time.Ticker
 	var tickC <-chan time.Time
-	if samp != nil {
+	if sampler != nil {
 		ticker = time.NewTicker(cfg.TelemetryWindow)
 		defer ticker.Stop()
 		tickC = ticker.C
@@ -327,12 +327,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			lats = append(lats, out.latency.Seconds())
 		case <-tickC:
 			ticks++
-			samp.Tick(ticks)
+			sampler.Tick(ticks)
 		}
 	}
-	if samp != nil {
+	if sampler != nil {
 		ticks++
-		samp.Tick(ticks)
+		sampler.Tick(ticks)
 	}
 
 	rep.Rejected429 = int(g.rejected429.Load())
@@ -344,13 +344,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if rep.ElapsedSeconds > 0 {
 		rep.AchievedRate = float64(cfg.Requests) / rep.ElapsedSeconds
 	}
-	if samp != nil {
+	if sampler != nil {
 		t := &Telemetry{
 			WindowMS:    cfg.TelemetryWindow.Milliseconds(),
-			WindowTicks: samp.Window(),
+			WindowTicks: sampler.Window(),
 			Series:      map[string][]float64{},
 		}
-		for _, s := range samp.Series() {
+		for _, s := range sampler.Series() {
 			t.Series[s.Name] = s.Values
 		}
 		rep.Telemetry = t

@@ -14,7 +14,7 @@ func sampledRun(t *testing.T) (*Recorder, *tele.Sampler) {
 	rec.Record(3, EvInject, 1, 2, 0)
 	rec.Record(5, EvArbWin, 1, 2, 4)
 	s := tele.NewSampler(8, 16)
-	c := s.Counter("sim.flits.delivered")
+	c := (&Observer{Metrics: NewRegistry()}).TrackedCounter(s, "sim.flits.delivered")
 	s.GaugeFunc("sim.queue.occupancy", func() float64 { return 2 })
 	for cyc := int64(0); cyc < 32; cyc++ {
 		c.Inc()

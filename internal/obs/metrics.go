@@ -52,10 +52,13 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram is a fixed-bin-width histogram metric over
-// [0, binWidth*len(bins)) with an overflow bucket. Negative
-// observations clamp to bin 0; NaN observations are counted apart and
-// excluded from the distribution. Nil-safe like Counter.
+// Histogram is a fixed-bin-width histogram over [0, binWidth*len(bins))
+// with an overflow bucket. It is both a registry metric and the latency
+// histogram every cycle loop reports its P50/P99 and mean from.
+// Negative observations (including -Inf) clamp to bin 0; observations
+// at or above the upper bound (including +Inf) land in the overflow
+// bucket; NaN observations are counted apart and excluded from the
+// distribution. Nil-safe like Counter.
 type Histogram struct {
 	binWidth float64
 	bins     []int64
@@ -66,7 +69,27 @@ type Histogram struct {
 	min, max float64
 }
 
-// Observe records one observation.
+// NewHistogram returns an empty histogram of bins bins of width
+// binWidth. It panics on a non-positive shape.
+func NewHistogram(binWidth float64, bins int) *Histogram {
+	if !(binWidth > 0) || bins <= 0 {
+		badShape(binWidth, bins)
+	}
+	return &Histogram{binWidth: binWidth, bins: make([]int64, bins)}
+}
+
+// badShape is kept out of line so that NewHistogram inlines: a cycle
+// loop's result histogram then does not escape, and its header stays on
+// the run's stack instead of costing an allocation per run.
+//
+//go:noinline
+func badShape(binWidth float64, bins int) {
+	panic(fmt.Sprintf("obs: invalid histogram shape %v x %d", binWidth, bins))
+}
+
+// Observe records one observation. (Converting NaN or ±Inf to int is
+// platform-defined in Go, so the guards before the conversion are what
+// keep Observe panic-free.)
 func (h *Histogram) Observe(x float64) {
 	if h == nil {
 		return
@@ -93,7 +116,11 @@ func (h *Histogram) Observe(x float64) {
 	case x >= h.binWidth*float64(len(h.bins)): // also catches +Inf
 		h.overflow++
 	default:
-		h.bins[int(x/h.binWidth)]++
+		i := int(x / h.binWidth)
+		if i >= len(h.bins) { // float rounding just below the upper edge
+			i = len(h.bins) - 1
+		}
+		h.bins[i]++
 	}
 }
 
@@ -105,7 +132,9 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Mean returns the mean of non-NaN observations, or 0 when empty.
+// Mean returns sum/count over the non-NaN observations, or 0 when
+// empty. It is not binned; over integer observations such as cycle
+// latencies the sum is exact, so the mean is the exact sample mean.
 func (h *Histogram) Mean() float64 {
 	if h == nil || h.count == 0 {
 		return 0
@@ -113,39 +142,31 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Quantile returns an upper-bound estimate of the q-quantile (q in
-// [0, 1]) from the bin counts: the upper edge of the bin containing the
-// rank-⌈q·count⌉ observation, clamped to the observed max. Ranks that
-// land in the overflow bucket return the observed max. Empty (or nil)
-// histograms return 0. The estimate's resolution is one bin width,
-// which is exactly the shape a latency histogram needs for p50/p99
-// reporting.
+// Quantile returns the midpoint of the bin that holds the
+// ⌊q·(count−1)⌋-th order statistic (counting from 0). An order
+// statistic in the overflow bucket reports the upper bound
+// binWidth*len(bins). q is clamped to [0, 1], and a NaN q counts as 0.
+// Empty (or nil) histograms return 0. Every P50/P99 the simulators
+// report comes from this rule over 4-cycle bins.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil || h.count == 0 {
 		return 0
 	}
-	if q < 0 {
+	if !(q > 0) { // negative or NaN
 		q = 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
+	target := int64(q * float64(h.count-1))
 	var cum int64
 	for i, c := range h.bins {
 		cum += c
-		if cum >= rank {
-			edge := h.binWidth * float64(i+1)
-			if edge > h.max {
-				return h.max
-			}
-			return edge
+		if cum > target {
+			return (float64(i) + 0.5) * h.binWidth
 		}
 	}
-	return h.max
+	return h.binWidth * float64(len(h.bins))
 }
 
 // histJSON is the stable serialized shape of a Histogram.
@@ -233,10 +254,7 @@ func (r *Registry) Histogram(name string, binWidth float64, bins int) *Histogram
 	}
 	h, ok := r.hists[name]
 	if !ok {
-		if binWidth <= 0 || bins <= 0 {
-			panic(fmt.Sprintf("obs: invalid histogram shape %v x %d", binWidth, bins))
-		}
-		h = &Histogram{binWidth: binWidth, bins: make([]int64, bins)}
+		h = NewHistogram(binWidth, bins)
 		r.hists[name] = h
 	}
 	return h

@@ -14,6 +14,13 @@
 // internal/pool worker count. Observability output never goes to
 // stdout — the CLIs write it to side files or stderr, keeping their
 // stdout byte-identical to an uninstrumented run.
+//
+// Histogram is also the one latency histogram of the cycle loops: every
+// reported P50/P99 is the midpoint of the 4-cycle bin that holds the
+// ⌊q·(n−1)⌋-th order statistic, and every mean latency is sum/count over
+// integer cycles, so exact. Each simulated event is counted once, in a
+// Counter; internal/tele's sampler reads that counter
+// (Observer.TrackedCounter) rather than keeping a second count.
 package obs
 
 import "github.com/reprolab/hirise/internal/tele"
@@ -66,6 +73,25 @@ func (o *Observer) Counter(name string) *Counter {
 		return nil
 	}
 	return o.Metrics.Counter(name)
+}
+
+// TrackedCounter returns the one counter that counts the named event,
+// and registers it with the sampler s as a counter track of the same
+// name. The counter is the metrics registry's when there is one, so a
+// single increment feeds both the metrics dump and the track. With a
+// sampler but no registry (ConvergeStop's private sampler, or an
+// observer with only Tele set) it is a private counter; with neither
+// it is nil, the no-op counter.
+func (o *Observer) TrackedCounter(s *tele.Sampler, name string) *Counter {
+	c := o.Counter(name)
+	if s == nil {
+		return c
+	}
+	if c == nil {
+		c = &Counter{}
+	}
+	s.CounterFunc(name, c.Value)
+	return c
 }
 
 // Gauge returns the named gauge, or a no-op nil gauge.

@@ -267,12 +267,6 @@ func Of(cfg topo.Config, t Tech) Cost {
 	return HiRise(cfg, t)
 }
 
-// PeakTbps returns the aggregate ideal bandwidth of a switch: every output
-// accepting one flit per cycle.
-func PeakTbps(radix int, c Cost, t Tech) float64 {
-	return float64(radix) * float64(t.FlitBits) * c.FreqGHz / 1e3
-}
-
 // Tbps converts an accepted flit rate (flits/cycle across the whole
 // switch) into terabits per second at the switch's frequency.
 func Tbps(flitsPerCycle float64, c Cost, t Tech) float64 {

@@ -302,7 +302,6 @@ func TestThroughputConversions(t *testing.T) {
 	c := Cost{FreqGHz: 2.0}
 	// 10 flits/cycle * 128 bits * 2 GHz = 2.56 Tbps.
 	within(t, "Tbps", Tbps(10, c, tech), 2.56, 1e-9)
-	within(t, "PeakTbps", PeakTbps(64, c, tech), 16.384, 1e-9)
 	within(t, "CycleNS", c.CycleNS(), 0.5, 1e-9)
 }
 

@@ -109,30 +109,3 @@ func TestDoCtxSerialCancel(t *testing.T) {
 		t.Fatalf("serial run executed %d tasks after cancel at 5", ran)
 	}
 }
-
-func TestMapCtxCollectsInIndexOrder(t *testing.T) {
-	leakcheck.Check(t)
-	got, err := MapCtx(context.Background(), 10, 4, func(i int) int { return i * i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("got[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestMapCtxCancelReturnsError(t *testing.T) {
-	leakcheck.Check(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	_, err := MapCtx(ctx, 100, 2, func(i int) int {
-		if i == 0 {
-			cancel()
-		}
-		return i
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}

@@ -126,15 +126,6 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	return out
 }
 
-// MapCtx is Map with cooperative cancellation (see DoCtx). On a non-nil
-// error the returned slice is partial — slots whose tasks never ran hold
-// zero values — and must be discarded.
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
-	out := make([]T, n)
-	err := DoCtx(ctx, n, workers, func(i int) { out[i] = fn(i) })
-	return out, err
-}
-
 // splitmix64 is the finalizer of the splitmix64 generator, used here as
 // a mixing function for seed derivation (the same construction
 // internal/prng uses to expand seeds into xoshiro state).

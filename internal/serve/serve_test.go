@@ -318,6 +318,7 @@ func TestBadRequests(t *testing.T) {
 		// Run knobs sim.Run would reject only after the job is queued.
 		`{"kind":"loadsweep","design":"2d","radix":8,"loads":[-0.1]}`,
 		`{"kind":"loadsweep","design":"2d","radix":8,"flits":-1,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"flits":4294967297,"loads":[0.1]}`,
 		`{"kind":"loadsweep","design":"2d","radix":8,"warmup":-1,"loads":[0.1]}`,
 		`{"kind":"loadsweep","design":"2d","radix":8,"measure":-1,"loads":[0.1]}`,
 	} {

@@ -26,10 +26,10 @@ type jobTelemetry struct {
 // tracks: the per-window task-completion delta (counter) and the
 // cumulative progress snapshot (gauge).
 func newJobTelemetry(j *job, interval time.Duration) *jobTelemetry {
-	jt := &jobTelemetry{interval: interval, samp: tele.NewSampler(1, tele.DefaultMaxWindows)}
-	jt.samp.CounterFunc("serve.job.tasks.completed", func() int64 { return j.progress.Load() })
-	jt.samp.GaugeFunc("serve.job.progress", func() float64 { return float64(j.progress.Load()) })
-	return jt
+	s := tele.NewSampler(1, tele.DefaultMaxWindows)
+	s.CounterFunc("serve.job.tasks.completed", func() int64 { return j.progress.Load() })
+	s.GaugeFunc("serve.job.progress", func() float64 { return float64(j.progress.Load()) })
+	return &jobTelemetry{interval: interval, samp: s}
 }
 
 // tick closes one sampling window.

@@ -131,33 +131,26 @@ func Run(cfg Config) (Result, error) {
 			o.SetObserver(cfg.Obs)
 		}
 	}
-	// All handles below are nil when cfg.Obs is nil (or lacks the sink);
-	// their methods no-op on nil receivers.
-	rec := cfg.Obs.Rec()
-	mInjected := cfg.Obs.Counter("sim.packets.injected")
-	mDelivered := cfg.Obs.Counter("sim.packets.delivered")
-	mDropped := cfg.Obs.Counter("sim.packets.dropped")
-	mFlits := cfg.Obs.Counter("sim.flits.delivered")
-	mWins := cfg.Obs.Counter("sim.arb.wins")
-	mLosses := cfg.Obs.Counter("sim.arb.losses")
-	mLatency := cfg.Obs.Histogram("sim.latency.cycles", 4, 4096)
-	cfg.Obs.Gauge("sim.offered.load").Set(cfg.Load)
-
 	// Telemetry plane: windowed time-series tracks over the whole run.
 	// The sampler is nil unless attached via Obs (or implied by
-	// ConvergeStop), and every tele handle no-ops on nil.
+	// ConvergeStop). Each event counter is one handle that the sampler
+	// (if any) reads as a track; all handles below are nil when neither
+	// a registry nor a sampler can hold them, and no-op on nil.
 	samp := cfg.Obs.Sampler()
 	if samp == nil && cfg.ConvergeStop {
 		samp = tele.NewSampler(0, 0)
 	}
-	tInjected := samp.Counter("sim.packets.injected")
-	tDelivered := samp.Counter(teleDeliveredSeries)
-	tDropped := samp.Counter("sim.packets.dropped")
-	tFlits := samp.Counter("sim.flits.delivered")
-	tWins := samp.Counter("sim.arb.wins")
-	tLosses := samp.Counter("sim.arb.losses")
-	// obsOn gates the per-event obs and tele hooks, so a hook-free run
-	// tests one flag per event instead of one nil check per handle.
+	rec := cfg.Obs.Rec()
+	mInjected := cfg.Obs.TrackedCounter(samp, "sim.packets.injected")
+	mDelivered := cfg.Obs.TrackedCounter(samp, teleDeliveredSeries)
+	mDropped := cfg.Obs.TrackedCounter(samp, "sim.packets.dropped")
+	mFlits := cfg.Obs.TrackedCounter(samp, "sim.flits.delivered")
+	mWins := cfg.Obs.TrackedCounter(samp, "sim.arb.wins")
+	mLosses := cfg.Obs.TrackedCounter(samp, "sim.arb.losses")
+	mLatency := cfg.Obs.Histogram("sim.latency.cycles", 4, 4096)
+	cfg.Obs.Gauge("sim.offered.load").Set(cfg.Load)
+	// obsOn gates the per-event hooks, so a hook-free run tests one
+	// flag per event instead of one nil check per handle.
 	obsOn := cfg.Obs != nil || samp != nil
 
 	// Fault plane. Everything below is nil/false when the plan is empty,
@@ -167,32 +160,23 @@ func Run(cfg Config) (Result, error) {
 	var holder channelHolder
 	var blocker pathBlocker
 	var mFlitDrop, mRetrans, mRetryDrop, mDeadFlow, mFailEv, mRepairEv *obs.Counter
-	var tFlitDrop, tRetrans, tRetryDrop, tDeadFlow, tFailEv, tRepairEv *tele.Counter
 	if hasFaults {
 		inj = fault.NewInjector(cfg.Faults, sw)
 		holder, _ = sw.(channelHolder)
 		blocker, _ = sw.(pathBlocker)
-		mFlitDrop = cfg.Obs.Counter("sim.fault.flits_dropped")
-		mRetrans = cfg.Obs.Counter("sim.fault.retransmissions")
-		mRetryDrop = cfg.Obs.Counter("sim.fault.retry_exhausted")
-		mDeadFlow = cfg.Obs.Counter("sim.fault.dead_flows")
-		mFailEv = cfg.Obs.Counter("sim.fault.fail_events")
-		mRepairEv = cfg.Obs.Counter("sim.fault.repair_events")
-		tFlitDrop = samp.Counter("sim.fault.flits_dropped")
-		tRetrans = samp.Counter("sim.fault.retransmissions")
-		tRetryDrop = samp.Counter("sim.fault.retry_exhausted")
-		tDeadFlow = samp.Counter("sim.fault.dead_flows")
-		tFailEv = samp.Counter("sim.fault.fail_events")
-		tRepairEv = samp.Counter("sim.fault.repair_events")
+		mFlitDrop = cfg.Obs.TrackedCounter(samp, "sim.fault.flits_dropped")
+		mRetrans = cfg.Obs.TrackedCounter(samp, "sim.fault.retransmissions")
+		mRetryDrop = cfg.Obs.TrackedCounter(samp, "sim.fault.retry_exhausted")
+		mDeadFlow = cfg.Obs.TrackedCounter(samp, "sim.fault.dead_flows")
+		mFailEv = cfg.Obs.TrackedCounter(samp, "sim.fault.fail_events")
+		mRepairEv = cfg.Obs.TrackedCounter(samp, "sim.fault.repair_events")
 		inj.Hook = func(cycle int64, f fault.Fault, repair bool) {
 			if repair {
 				mRepairEv.Inc()
-				tRepairEv.Inc()
 				rec.Record(cycle, obs.EvRepair, f.ID, -1, int(f.Kind))
 				return
 			}
 			mFailEv.Inc()
-			tFailEv.Inc()
 			rec.Record(cycle, obs.EvFault, f.ID, -1, int(f.Kind))
 		}
 	}
@@ -223,7 +207,7 @@ func Run(cfg Config) (Result, error) {
 	qSlab := make([]bpacket, n*qcap)  // source-queue rings: [in*qcap + i]
 	req := make([]int, n)             // requested output per input, or -1 (Switch.Arbitrate's argument)
 	relIn := make([]int32, n)         // inputs whose connection finished this cycle
-	hist := stats.NewHistogram(4, 4096)
+	hist := obs.NewHistogram(4, 4096)
 	perLat := stats.NewPerPort(n)
 	perPkt := make([]int64, n)
 	var deadBuf []deadFlow // phase 2's deferred dead-flow trace events
@@ -347,7 +331,6 @@ func Run(cfg Config) (Result, error) {
 						p.corrupt = true
 						fstats.FlitsDropped++
 						mFlitDrop.Inc()
-						tFlitDrop.Inc()
 						rec.Record(cycle, obs.EvFlitDrop, in, int(vcSlab[piV+int(p.connVC)].dest), cid)
 					}
 				}
@@ -370,19 +353,17 @@ func Run(cfg Config) (Result, error) {
 						p.occ &^= 1 << uint(p.connVC)
 						fstats.RetryExhausted++
 						mRetryDrop.Inc()
-						tRetryDrop.Inc()
 						rec.Record(cycle, obs.EvRetryDrop, in, int(pk.dest), int(pk.retries))
 					} else {
 						pk.retries++
 						fstats.Retransmissions++
 						mRetrans.Inc()
-						tRetrans.Inc()
 						rec.Record(cycle, obs.EvRetransmit, in, int(pk.dest), int(pk.retries))
 					}
 				} else {
 					age := cycle - pk.birth
 					if measuring {
-						hist.Add(float64(age))
+						hist.Observe(float64(age))
 						perLat.Add(in, float64(age))
 						perPkt[in]++
 						delivered++
@@ -391,8 +372,6 @@ func Run(cfg Config) (Result, error) {
 					if obsOn {
 						mDelivered.Inc()
 						mFlits.Add(F64)
-						tDelivered.Inc()
-						tFlits.Add(F64)
 						mLatency.Observe(float64(age))
 						rec.Record(cycle, obs.EvEject, in, int(pk.dest), int(age))
 					}
@@ -427,7 +406,6 @@ func Run(cfg Config) (Result, error) {
 					p.occ &^= 1 << uint(v)
 					fstats.DeadFlows++
 					mDeadFlow.Inc()
-					tDeadFlow.Inc()
 					if rec != nil {
 						dead = append(dead, deadFlow{in, int(pk.dest), int(age)})
 					}
@@ -528,7 +506,6 @@ func Run(cfg Config) (Result, error) {
 				ports[g.In].remaining = F
 				if obsOn {
 					mWins.Inc()
-					tWins.Inc()
 					rec.Record(cycle, obs.EvArbWin, g.In, g.Out, cfg.PacketFlits)
 				}
 			}
@@ -539,7 +516,6 @@ func Run(cfg Config) (Result, error) {
 				for in, out := range req {
 					if out >= 0 && ports[in].remaining == 0 {
 						mLosses.Inc()
-						tLosses.Inc()
 						rec.Record(cycle, obs.EvArbLose, in, out, 0)
 					}
 				}
@@ -584,7 +560,6 @@ func Run(cfg Config) (Result, error) {
 					}
 					if obsOn {
 						mDropped.Inc()
-						tDropped.Inc()
 						rec.Record(cycle, obs.EvDrop, in, dest, 0)
 					}
 				} else {
@@ -602,7 +577,6 @@ func Run(cfg Config) (Result, error) {
 					}
 					if obsOn {
 						mInjected.Inc()
-						tInjected.Inc()
 						rec.Record(cycle, obs.EvInject, in, dest, 0)
 					}
 				}

@@ -102,18 +102,20 @@ func refRun(cfg Config) (Result, error) {
 
 	// Telemetry plane: windowed time-series tracks over the whole run.
 	// The sampler is nil unless attached via Obs (or implied by
-	// ConvergeStop), and every tele handle no-ops on nil, so the
-	// disabled path costs one nil check per hook like the obs sinks.
+	// ConvergeStop). Unlike Run, the oracle counts each track's events
+	// in counts of its own, apart from the obs counters above, so the
+	// differential tests check Run's one-counter wiring against counts
+	// made a different way.
 	samp := cfg.Obs.Sampler()
 	if samp == nil && cfg.ConvergeStop {
 		samp = tele.NewSampler(0, 0)
 	}
-	tInjected := samp.Counter("sim.packets.injected")
-	tDelivered := samp.Counter(teleDeliveredSeries)
-	tDropped := samp.Counter("sim.packets.dropped")
-	tFlits := samp.Counter("sim.flits.delivered")
-	tWins := samp.Counter("sim.arb.wins")
-	tLosses := samp.Counter("sim.arb.losses")
+	tInjected := refTrack(samp, "sim.packets.injected")
+	tDelivered := refTrack(samp, teleDeliveredSeries)
+	tDropped := refTrack(samp, "sim.packets.dropped")
+	tFlits := refTrack(samp, "sim.flits.delivered")
+	tWins := refTrack(samp, "sim.arb.wins")
+	tLosses := refTrack(samp, "sim.arb.losses")
 
 	// Fault plane. Everything below is nil/false when the plan is empty,
 	// so the fault-free run stays on the exact pre-fault hot path (and
@@ -123,7 +125,7 @@ func refRun(cfg Config) (Result, error) {
 	var holder channelHolder
 	var blocker pathBlocker
 	var mFlitDrop, mRetrans, mRetryDrop, mDeadFlow, mFailEv, mRepairEv *obs.Counter
-	var tFlitDrop, tRetrans, tRetryDrop, tDeadFlow, tFailEv, tRepairEv *tele.Counter
+	var tFlitDrop, tRetrans, tRetryDrop, tDeadFlow, tFailEv, tRepairEv *int64
 	if hasFaults {
 		inj = fault.NewInjector(cfg.Faults, cfg.Switch)
 		holder, _ = cfg.Switch.(channelHolder)
@@ -134,21 +136,21 @@ func refRun(cfg Config) (Result, error) {
 		mDeadFlow = cfg.Obs.Counter("sim.fault.dead_flows")
 		mFailEv = cfg.Obs.Counter("sim.fault.fail_events")
 		mRepairEv = cfg.Obs.Counter("sim.fault.repair_events")
-		tFlitDrop = samp.Counter("sim.fault.flits_dropped")
-		tRetrans = samp.Counter("sim.fault.retransmissions")
-		tRetryDrop = samp.Counter("sim.fault.retry_exhausted")
-		tDeadFlow = samp.Counter("sim.fault.dead_flows")
-		tFailEv = samp.Counter("sim.fault.fail_events")
-		tRepairEv = samp.Counter("sim.fault.repair_events")
+		tFlitDrop = refTrack(samp, "sim.fault.flits_dropped")
+		tRetrans = refTrack(samp, "sim.fault.retransmissions")
+		tRetryDrop = refTrack(samp, "sim.fault.retry_exhausted")
+		tDeadFlow = refTrack(samp, "sim.fault.dead_flows")
+		tFailEv = refTrack(samp, "sim.fault.fail_events")
+		tRepairEv = refTrack(samp, "sim.fault.repair_events")
 		inj.Hook = func(cycle int64, f fault.Fault, repair bool) {
 			if repair {
 				mRepairEv.Inc()
-				tRepairEv.Inc()
+				*tRepairEv++
 				rec.Record(cycle, obs.EvRepair, f.ID, -1, int(f.Kind))
 				return
 			}
 			mFailEv.Inc()
-			tFailEv.Inc()
+			*tFailEv++
 			rec.Record(cycle, obs.EvFault, f.ID, -1, int(f.Kind))
 		}
 	}
@@ -209,7 +211,7 @@ func refRun(cfg Config) (Result, error) {
 	}
 
 	req := make([]int, n)
-	hist := stats.NewHistogram(4, 4096)
+	hist := obs.NewHistogram(4, 4096)
 	perLat := stats.NewPerPort(n)
 	perPkt := make([]int64, n)
 	var injected, delivered, dropped, flits int64
@@ -249,7 +251,7 @@ func refRun(cfg Config) (Result, error) {
 					p.corrupt = true
 					fstats.FlitsDropped++
 					mFlitDrop.Inc()
-					tFlitDrop.Inc()
+					*tFlitDrop++
 					rec.Record(cycle, obs.EvFlitDrop, in, p.vc[p.connVC].dest, cid)
 				}
 			}
@@ -271,13 +273,13 @@ func refRun(cfg Config) (Result, error) {
 					p.vcOk[p.connVC] = false
 					fstats.RetryExhausted++
 					mRetryDrop.Inc()
-					tRetryDrop.Inc()
+					*tRetryDrop++
 					rec.Record(cycle, obs.EvRetryDrop, in, pkt.dest, pkt.retries)
 				} else {
 					pkt.retries++
 					fstats.Retransmissions++
 					mRetrans.Inc()
-					tRetrans.Inc()
+					*tRetrans++
 					rec.Record(cycle, obs.EvRetransmit, in, pkt.dest, pkt.retries)
 				}
 				continue
@@ -285,7 +287,7 @@ func refRun(cfg Config) (Result, error) {
 			pkt := p.vc[p.connVC]
 			lat := cycle - pkt.birth
 			if measuring {
-				hist.Add(float64(lat))
+				hist.Observe(float64(lat))
 				perLat.Add(in, float64(lat))
 				perPkt[in]++
 				delivered++
@@ -293,8 +295,8 @@ func refRun(cfg Config) (Result, error) {
 			}
 			mDelivered.Inc()
 			mFlits.Add(int64(cfg.PacketFlits))
-			tDelivered.Inc()
-			tFlits.Add(int64(cfg.PacketFlits))
+			*tDelivered++
+			*tFlits += int64(cfg.PacketFlits)
 			mLatency.Observe(float64(lat))
 			rec.Record(cycle, obs.EvEject, in, pkt.dest, int(lat))
 			if chk != nil {
@@ -328,7 +330,7 @@ func refRun(cfg Config) (Result, error) {
 					p.vcOk[v] = false
 					fstats.DeadFlows++
 					mDeadFlow.Inc()
-					tDeadFlow.Inc()
+					*tDeadFlow++
 					rec.Record(cycle, obs.EvDeadFlow, in, p.vc[v].dest, int(cycle-p.vc[v].birth))
 					continue
 				}
@@ -351,7 +353,7 @@ func refRun(cfg Config) (Result, error) {
 			p.connected = true
 			p.remaining = cfg.PacketFlits
 			mWins.Inc()
-			tWins.Inc()
+			*tWins++
 			rec.Record(cycle, obs.EvArbWin, g.In, g.Out, cfg.PacketFlits)
 		}
 		if cfg.Obs != nil || samp != nil {
@@ -360,7 +362,7 @@ func refRun(cfg Config) (Result, error) {
 			for in := range ports {
 				if req[in] >= 0 && !ports[in].connected {
 					mLosses.Inc()
-					tLosses.Inc()
+					*tLosses++
 					rec.Record(cycle, obs.EvArbLose, in, req[in], 0)
 				}
 			}
@@ -380,7 +382,7 @@ func refRun(cfg Config) (Result, error) {
 						dropped++
 					}
 					mDropped.Inc()
-					tDropped.Inc()
+					*tDropped++
 					rec.Record(cycle, obs.EvDrop, in, dest, 0)
 				} else {
 					p.srcQ.push(packet{birth: cycle, dest: dest, seq: p.nextSeq})
@@ -392,7 +394,7 @@ func refRun(cfg Config) (Result, error) {
 						chk.injected++
 					}
 					mInjected.Inc()
-					tInjected.Inc()
+					*tInjected++
 					rec.Record(cycle, obs.EvInject, in, dest, 0)
 				}
 			}
@@ -469,4 +471,12 @@ func refRun(cfg Config) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// refTrack returns a count of its own for the named event and, when s
+// is non-nil, registers it with s as a counter track.
+func refTrack(s *tele.Sampler, name string) *int64 {
+	c := new(int64)
+	s.CounterFunc(name, func() int64 { return *c })
+	return c
 }

@@ -15,6 +15,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/reprolab/hirise/internal/fault"
 	"github.com/reprolab/hirise/internal/obs"
@@ -51,7 +52,8 @@ type Config struct {
 	Traffic Traffic
 	// Load is the offered load in packets per cycle per input.
 	Load float64
-	// PacketFlits is the packet length (paper: 4 flits of 128 bits).
+	// PacketFlits is the packet length (paper: 4 flits of 128 bits); at
+	// most MaxPacketFlits.
 	PacketFlits int
 	// VCs is the number of virtual channels per input (paper: 4), each
 	// holding one packet (depth 4 flits); at most 64.
@@ -160,6 +162,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: non-positive structural parameter")
 	case c.Warmup < 0 || c.Measure <= 0:
 		return fmt.Errorf("sim: bad windows warmup=%d measure=%d", c.Warmup, c.Measure)
+	case c.PacketFlits > MaxPacketFlits:
+		return fmt.Errorf("sim: %d flits per packet, at most MaxPacketFlits %d", c.PacketFlits, MaxPacketFlits)
 	case c.VCs > 64:
 		return fmt.Errorf("sim: %d VCs per input, at most 64 (one bit each in the VC occupancy mask)", c.VCs)
 	}
@@ -209,6 +213,11 @@ type Result struct {
 // accepted.
 func (r Result) Saturated() bool { return r.DroppedInjections > 0 }
 
+// MaxPacketFlits bounds Config.PacketFlits. A run holds the flits left
+// on each port's connection in an int32, so a longer packet would wrap
+// and misreport every count and rate.
+const MaxPacketFlits = math.MaxInt32
+
 // ctxCheckInterval is how often (in simulated cycles) a cancellable run
 // polls its context. Polling a cancel context takes a mutex, so the
 // interval trades shutdown latency (≤ interval cycles, microseconds of
@@ -233,7 +242,9 @@ const convergeMinWindows = 16
 // non-nil, supplies each run its own traffic pattern; it must be
 // non-nil for stateful patterns (e.g. traffic.Bursty), which cannot be
 // shared across runs — the same contract as LoadSweep. When newTraffic
-// is nil, every run shares base.Traffic.
+// is nil, every run shares base.Traffic. It is a short loop over Run,
+// kept because code outside this module calls it: e2ebench's probes
+// (e2ebench/probes.go) time it, besides experiments' replicates.
 func BatchRun(base Config, newSwitch func() Switch, newTraffic func() Traffic, seeds []uint64) ([]Result, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sim: batch run needs at least one seed")

@@ -265,7 +265,8 @@ func TestConfigValidation(t *testing.T) {
 		{Switch: crossbar.New(4)},            // no traffic
 		{Switch: crossbar.New(4), Traffic: traffic.Uniform{Radix: 4}, Load: -1},
 		{Switch: crossbar.New(4), Traffic: traffic.Uniform{Radix: 4}, Warmup: -1},
-		{Switch: crossbar.New(4), Traffic: traffic.Uniform{Radix: 4}, VCs: 65}, // past the 64-bit VC mask
+		{Switch: crossbar.New(4), Traffic: traffic.Uniform{Radix: 4}, VCs: 65},                         // past the 64-bit VC mask
+		{Switch: crossbar.New(4), Traffic: traffic.Uniform{Radix: 4}, PacketFlits: MaxPacketFlits + 1}, // wraps the int32 flit count
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -128,27 +128,22 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 	}
 	n := cfg.Radix
 
-	rec := cfg.Obs.Rec()
-	audit := cfg.Obs.Audit()
-	mInjected := cfg.Obs.Counter("sim.packets.injected")
-	mDelivered := cfg.Obs.Counter("sim.packets.delivered")
-	mDropped := cfg.Obs.Counter("sim.packets.dropped")
-	mFlits := cfg.Obs.Counter("sim.flits.delivered")
-	mWins := cfg.Obs.Counter("sim.arb.wins")
-	mLosses := cfg.Obs.Counter("sim.arb.losses")
-	mLatency := cfg.Obs.Histogram("sim.latency.cycles", 4, 4096)
-	cfg.Obs.Gauge("sim.offered.load").Set(cfg.Load)
-
-	// Telemetry plane (see Run): nil-safe windowed series over the run.
+	// Telemetry plane (see Run): nil-safe windowed series over the run,
+	// read from the event counters below.
 	samp := cfg.Obs.Sampler()
 	if samp == nil && cfg.ConvergeStop {
 		samp = tele.NewSampler(0, 0)
 	}
-	tInjected := samp.Counter("sim.packets.injected")
-	tDelivered := samp.Counter(teleDeliveredSeries)
-	tDropped := samp.Counter("sim.packets.dropped")
-	tWins := samp.Counter("sim.arb.wins")
-	tLosses := samp.Counter("sim.arb.losses")
+	rec := cfg.Obs.Rec()
+	audit := cfg.Obs.Audit()
+	mInjected := cfg.Obs.TrackedCounter(samp, "sim.packets.injected")
+	mDelivered := cfg.Obs.TrackedCounter(samp, teleDeliveredSeries)
+	mDropped := cfg.Obs.TrackedCounter(samp, "sim.packets.dropped")
+	mFlits := cfg.Obs.Counter("sim.flits.delivered")
+	mWins := cfg.Obs.TrackedCounter(samp, "sim.arb.wins")
+	mLosses := cfg.Obs.TrackedCounter(samp, "sim.arb.losses")
+	mLatency := cfg.Obs.Histogram("sim.latency.cycles", 4, 4096)
+	cfg.Obs.Gauge("sim.offered.load").Set(cfg.Load)
 
 	root := prng.New(cfg.Seed)
 	rngs := make([]*prng.Source, n)
@@ -194,7 +189,7 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 		})
 	}
 
-	hist := stats.NewHistogram(4, 4096)
+	hist := obs.NewHistogram(4, 4096)
 	perLat := stats.NewPerPort(n)
 	perPkt := make([]int64, n)
 	var injected, delivered, dropped int64
@@ -231,13 +226,11 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 				if o < 0 {
 					if requested {
 						mLosses.Inc()
-						tLosses.Inc()
 						rec.Record(cycle, obs.EvArbLose, in, req[in].First(), phase)
 					}
 					continue
 				}
 				mWins.Inc()
-				tWins.Inc()
 				rec.Record(cycle, obs.EvArbWin, in, o, phase)
 				// Move the VOQ head cell into the output queue.
 				vi := in*n + o
@@ -270,14 +263,13 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 			lat := cycle - cell.birth
 			in := int(cell.in)
 			if measuring {
-				hist.Add(float64(lat))
+				hist.Observe(float64(lat))
 				perLat.Add(in, float64(lat))
 				perPkt[in]++
 				delivered++
 			}
 			mDelivered.Inc()
 			mFlits.Inc()
-			tDelivered.Inc()
 			mLatency.Observe(float64(lat))
 			rec.Record(cycle, obs.EvEject, in, o, int(lat))
 		}
@@ -294,7 +286,6 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 					dropped++
 				}
 				mDropped.Inc()
-				tDropped.Inc()
 				rec.Record(cycle, obs.EvDrop, in, dest, 0)
 				continue
 			}
@@ -306,7 +297,6 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 				injected++
 			}
 			mInjected.Inc()
-			tInjected.Inc()
 			rec.Record(cycle, obs.EvInject, in, dest, 0)
 		}
 

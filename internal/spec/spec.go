@@ -55,24 +55,70 @@ var schemes = map[string]topo.Scheme{"l2l": topo.L2LLRG, "lrg": topo.L2LLRG, "wl
 
 var allocs = map[string]topo.AllocPolicy{"input": topo.InputBinned, "output": topo.OutputBinned, "priority": topo.PriorityBased}
 
-// designs maps a design to its shape check (nil: any radix) and its
-// switch constructor.
-var designs = map[string]struct {
+// design is one entry of the design table: its shape check (nil: any
+// radix), its switch constructor, its physical cost, and its structure
+// in the paper's table style.
+type design struct {
 	check func(topo.Config) error
 	build func(topo.Config) sim.Switch
-}{
-	"2d": {nil, func(c topo.Config) sim.Switch { return crossbar.New(c.Radix) }},
-	"folded": {func(c topo.Config) error {
-		return need(c.Layers >= 1 && c.Radix%c.Layers == 0, "cannot fold radix %d over %d layers", c.Radix, c.Layers)
-	}, func(c topo.Config) sim.Switch { return crossbar.NewFolded(c.Radix, c.Layers) }},
-	"hirise": {core.Validate, func(c topo.Config) sim.Switch {
-		sw, err := core.New(c)
-		if err != nil {
-			panic(err) // checked by core.Validate
-		}
-		return sw
-	}},
+	cost  func(topo.Config, phys.Tech) phys.Cost
+	shape func(topo.Config) string
 }
+
+// designs is the one design table: hirise-sim, served loadsweeps and
+// every experiment build, cost and label their switches through it.
+var designs = map[string]design{
+	"2d": {
+		build: func(c topo.Config) sim.Switch { return crossbar.New(c.Radix) },
+		cost:  func(c topo.Config, t phys.Tech) phys.Cost { return phys.Flat2D(c.Radix, t) },
+		shape: func(c topo.Config) string { return fmt.Sprintf("%dx%d", c.Radix, c.Radix) },
+	},
+	"folded": {
+		check: func(c topo.Config) error {
+			return need(c.Layers >= 1 && c.Radix%c.Layers == 0, "cannot fold radix %d over %d layers", c.Radix, c.Layers)
+		},
+		build: func(c topo.Config) sim.Switch { return crossbar.NewFolded(c.Radix, c.Layers) },
+		cost:  func(c topo.Config, t phys.Tech) phys.Cost { return phys.Folded(c.Radix, c.Layers, t) },
+		shape: func(c topo.Config) string { return fmt.Sprintf("[%dx%d]x%d", c.Radix/c.Layers, c.Radix, c.Layers) },
+	},
+	"hirise": {
+		check: core.Validate,
+		build: func(c topo.Config) sim.Switch {
+			sw, err := core.New(c)
+			if err != nil {
+				panic(err) // checked by core.Validate
+			}
+			return sw
+		},
+		cost: phys.HiRise,
+		shape: func(c topo.Config) string {
+			in, out := c.LocalSwitchShape()
+			return fmt.Sprintf("[(%dx%d), %d.(%dx1)]x%d", in, out, c.PortsPerLayer(), c.SubBlockInputs(), c.Layers)
+		},
+	},
+}
+
+// lookup returns the named design's table entry and panics on an
+// unknown name: the exported per-design helpers below take names from
+// code, not from requests.
+func lookup(name string) design {
+	d, ok := designs[name]
+	if !ok {
+		panic(fmt.Sprintf("spec: unknown design %q", name))
+	}
+	return d
+}
+
+// NewSwitch builds a fresh switch of the named design on cfg. A shape
+// the design's check rejects panics.
+func NewSwitch(name string, cfg topo.Config) sim.Switch { return lookup(name).build(cfg) }
+
+// CostOf returns the physical cost of the named design on cfg.
+func CostOf(name string, cfg topo.Config, t phys.Tech) phys.Cost { return lookup(name).cost(cfg, t) }
+
+// ConfigString renders the named design's structure on cfg in the
+// paper's table style: "64x64", "[16x64]x4", "[(16x28), 16.(13x1)]x4".
+func ConfigString(name string, cfg topo.Config) string { return lookup(name).shape(cfg) }
 
 // patterns maps a traffic name to the check that its outputs exist on
 // the switch (nil: any radix) and its generator constructor.
@@ -183,6 +229,9 @@ func (s Spec) Factories() (func() sim.Switch, func() sim.Traffic, error) {
 	if s.Flits < 0 || s.Warmup < 0 || s.Measure < 0 {
 		return nil, nil, fmt.Errorf("spec: negative flits %d, warmup %d or measure %d", s.Flits, s.Warmup, s.Measure)
 	}
+	if s.Flits > sim.MaxPacketFlits {
+		return nil, nil, fmt.Errorf("spec: %d flits per packet, at most %d (sim.MaxPacketFlits)", s.Flits, sim.MaxPacketFlits)
+	}
 	return mkSwitch, mkTraffic, nil
 }
 
@@ -190,13 +239,10 @@ func (s Spec) Factories() (func() sim.Switch, func() sim.Traffic, error) {
 // configuration it is costed as: a 2D crossbar as one flat layer.
 func (s Spec) Cost(t phys.Tech) (topo.Config, phys.Cost) {
 	cfg, _ := s.config()
-	switch s.Design {
-	case "2d":
+	if s.Design == "2d" {
 		cfg.Layers = 1
-	case "folded":
-		return cfg, phys.Folded(cfg.Radix, cfg.Layers, t)
 	}
-	return cfg, phys.Of(cfg, t)
+	return cfg, CostOf(s.Design, cfg, t)
 }
 
 // SimConfig returns the simulator configuration every point shares.

@@ -1,7 +1,7 @@
 // Package stats provides the measurement machinery shared by the switch
-// simulator and the many-core system model: running summaries, quantile
-// estimation via fixed-width histograms, per-port breakdowns, and
-// fairness metrics.
+// simulator and the many-core system model: running summaries, per-port
+// breakdowns, and fairness metrics. Latency histograms and their
+// quantiles live in internal/obs (obs.Histogram).
 package stats
 
 import (
@@ -94,82 +94,6 @@ func (s *Summary) Merge(other *Summary) {
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
 		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
-
-// Histogram is a fixed-bin-width histogram over [0, BinWidth*len(bins)),
-// with an overflow bucket. It supports approximate quantiles, which is all
-// the latency plots need.
-type Histogram struct {
-	binWidth float64
-	bins     []int64
-	overflow int64
-	sum      Summary
-}
-
-// NewHistogram creates a histogram with nbins bins of the given width.
-func NewHistogram(binWidth float64, nbins int) *Histogram {
-	if binWidth <= 0 || nbins <= 0 {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{binWidth: binWidth, bins: make([]int64, nbins)}
-}
-
-// Add records one observation. Negative values (including -Inf) clamp
-// to bin 0; values at or above the histogram's upper bound (including
-// +Inf) land in the overflow bucket; NaN observations are discarded
-// entirely — they carry no ordering information to bin and would
-// otherwise poison the running mean. (Converting NaN or ±Inf to int is
-// platform-defined in Go — on amd64 it yields the most negative int —
-// so the pre-conversion guards here are what keep Add panic-free.)
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		return
-	}
-	h.sum.Add(x)
-	if x < 0 {
-		h.bins[0]++
-		return
-	}
-	if x >= h.binWidth*float64(len(h.bins)) {
-		h.overflow++
-		return
-	}
-	i := int(x / h.binWidth)
-	if i >= len(h.bins) { // float rounding at the upper edge
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.sum.N() }
-
-// Mean returns the exact sample mean (not binned).
-func (h *Histogram) Mean() float64 { return h.sum.Mean() }
-
-// Quantile returns an approximation of the q-th quantile. q is clamped
-// to [0,1], with NaN treated as 0; an empty histogram returns 0. Values
-// in the overflow bucket report as the histogram's upper bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.sum.N()
-	if n == 0 {
-		return 0
-	}
-	if !(q > 0) { // negative or NaN
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(n-1))
-	var cum int64
-	for i, c := range h.bins {
-		cum += c
-		if cum > target {
-			return (float64(i) + 0.5) * h.binWidth
-		}
-	}
-	return h.binWidth * float64(len(h.bins))
 }
 
 // PerPort bundles a Summary per port, for Fig 11(a)/(c) style

@@ -17,9 +17,14 @@
 // window always covers WindowCycles << k cycles for a single k shared
 // by all series.
 //
-// Like obs, everything is nil-safe: every method on a nil *Sampler or
-// nil *Counter is a no-op, so instrumented hot loops pay one nil check
-// and zero allocations when telemetry is disabled.
+// The sampler owns no event counters: a counter series reads, through
+// CounterFunc, a counter that its owner increments (the simulators'
+// obs.Counter handles, via obs.Observer.TrackedCounter; atomics in the
+// serving layers), so each event is counted once.
+//
+// Like obs, everything is nil-safe: every method on a nil *Sampler is
+// a no-op, so instrumented hot loops pay one nil check and zero
+// allocations when telemetry is disabled.
 //
 // The package is deliberately single-writer: the simulation loop owns
 // the sampler. Concurrent readers (e.g. a serving layer snapshotting
@@ -62,42 +67,14 @@ func (k Kind) String() string {
 	return "counter"
 }
 
-// Counter is a monotonic event counter handle sampled by window
-// deltas. Inc on a nil Counter is a no-op, so call sites need no
-// telemetry-enabled branch.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current cumulative count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // track is one registered series and its sample storage.
 type track struct {
-	name    string
-	kind    Kind
-	counter *Counter       // KindCounter via handle
-	cfn     func() int64   // KindCounter via callback (exactly one of counter/cfn set)
-	gfn     func() float64 // KindGauge callback
-	last    int64          // counter value at the previous window close
-	vals    []float64      // one sample per stored window, capacity maxW
+	name string
+	kind Kind
+	cfn  func() int64   // KindCounter source
+	gfn  func() float64 // KindGauge source
+	last int64          // counter value at the previous window close
+	vals []float64      // one sample per stored window, capacity maxW
 }
 
 // Series is an exported snapshot of one track, as produced by
@@ -155,28 +132,13 @@ func (s *Sampler) register(t *track) *track {
 	return t
 }
 
-// Counter registers (or returns the existing) counter series and hands
-// back its increment handle. On a nil sampler it returns nil, which is
-// itself a valid no-op handle — the disabled path needs no branches.
-// Registering after windows have closed would misalign the series, so
-// register before the first Tick.
-func (s *Sampler) Counter(name string) *Counter {
-	if s == nil {
-		return nil
-	}
-	if t, ok := s.byName[name]; ok {
-		if t.kind != KindCounter || t.counter == nil {
-			panic("tele: series " + name + " already registered with a different type")
-		}
-		return t.counter
-	}
-	t := s.register(&track{name: name, kind: KindCounter, counter: &Counter{}})
-	return t.counter
-}
-
 // CounterFunc registers a counter series sampled by calling fn at each
 // window close; fn must be monotonic non-decreasing (e.g. an
-// atomically incremented total). No-op on a nil sampler.
+// atomically incremented total). The value fn returns at registration
+// is the base of the first window, so each window records only the
+// events counted after registration. Registering after windows have
+// closed would misalign the series, so register before the first Tick.
+// No-op on a nil sampler.
 func (s *Sampler) CounterFunc(name string, fn func() int64) {
 	if s == nil || fn == nil {
 		return
@@ -184,7 +146,7 @@ func (s *Sampler) CounterFunc(name string, fn func() int64) {
 	if _, ok := s.byName[name]; ok {
 		panic("tele: series " + name + " registered twice")
 	}
-	s.register(&track{name: name, kind: KindCounter, cfn: fn})
+	s.register(&track{name: name, kind: KindCounter, cfn: fn, last: fn()})
 }
 
 // GaugeFunc registers a gauge series snapshotted by calling fn at each
@@ -220,18 +182,11 @@ func (s *Sampler) closeWindow() {
 		var v float64
 		switch t.kind {
 		case KindCounter:
-			cur := t.last
-			if t.counter != nil {
-				cur = t.counter.v
-			} else if t.cfn != nil {
-				cur = t.cfn()
-			}
+			cur := t.cfn()
 			v = float64(cur - t.last)
 			t.last = cur
 		case KindGauge:
-			if t.gfn != nil {
-				v = t.gfn()
-			}
+			v = t.gfn()
 		}
 		t.vals = append(t.vals, v)
 	}

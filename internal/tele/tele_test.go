@@ -14,15 +14,24 @@ func drive(s *Sampler, total int64) {
 	}
 }
 
+// counter registers a counter series that reads a count of its own, as
+// the simulators' series read their obs counters, and returns the
+// count. On a nil sampler the count is still live but unread.
+func counter(s *Sampler, name string) *int64 {
+	c := new(int64)
+	s.CounterFunc(name, func() int64 { return *c })
+	return c
+}
+
 // TestCounterWindows: counter deltas land one per window, and the
 // trailing partial window is dropped.
 func TestCounterWindows(t *testing.T) {
 	s := NewSampler(10, 64)
-	c := s.Counter("events")
+	c := counter(s, "events")
 	for cyc := int64(0); cyc < 35; cyc++ {
-		c.Inc() // one event per cycle
+		*c++ // one event per cycle
 		if cyc%2 == 0 {
-			c.Inc() // plus one every other cycle
+			*c++ // plus one every other cycle
 		}
 		s.Tick(cyc + 1)
 	}
@@ -67,11 +76,11 @@ func TestGaugeWindows(t *testing.T) {
 // aligned, at any run length.
 func TestDecimation(t *testing.T) {
 	s := NewSampler(2, 8)
-	c := s.Counter("n")
+	c := counter(s, "n")
 	var level float64
 	s.GaugeFunc("g", func() float64 { return level })
 	for cyc := int64(0); cyc < 64; cyc++ {
-		c.Inc()
+		*c++
 		level = float64(cyc + 1)
 		s.Tick(cyc + 1)
 	}
@@ -115,11 +124,11 @@ func TestDecimation(t *testing.T) {
 func TestDecimationEquivalence(t *testing.T) {
 	fine := NewSampler(4, 8)
 	coarse := NewSampler(32, 64)
-	cf, cc := fine.Counter("n"), coarse.Counter("n")
+	cf, cc := counter(fine, "n"), counter(coarse, "n")
 	for cyc := int64(0); cyc < 160; cyc++ {
 		if cyc%3 == 0 {
-			cf.Inc()
-			cc.Inc()
+			*cf++
+			*cc++
 		}
 		fine.Tick(cyc + 1)
 		coarse.Tick(cyc + 1)
@@ -138,20 +147,11 @@ func TestDecimationEquivalence(t *testing.T) {
 	}
 }
 
-// TestNilSafety: every method on nil samplers and nil counters is a
-// safe no-op, and a nil counter handle comes back from a nil sampler.
+// TestNilSafety: every method on a nil sampler is a safe no-op, and
+// registering on it never calls the source.
 func TestNilSafety(t *testing.T) {
 	var s *Sampler
-	c := s.Counter("x")
-	if c != nil {
-		t.Fatal("nil sampler returned a live counter")
-	}
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter has a value")
-	}
-	s.CounterFunc("y", func() int64 { return 1 })
+	s.CounterFunc("y", func() int64 { t.Fatal("nil sampler read a counter"); return 1 })
 	s.GaugeFunc("z", func() float64 { return 1 })
 	if s.Tick(1000) {
 		t.Fatal("nil sampler closed a window")
@@ -165,13 +165,13 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestDisabledPathAllocs: the per-cycle cost of disabled telemetry —
-// a nil-counter Inc and a nil-sampler Tick — is 0 allocs/op.
+// a count no sampler reads and a nil-sampler Tick — is 0 allocs/op.
 func TestDisabledPathAllocs(t *testing.T) {
 	var s *Sampler
-	c := s.Counter("x")
+	c := counter(s, "x")
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := int64(0); i < 100; i++ {
-			c.Inc()
+			*c++
 			s.Tick(i)
 		}
 	})
@@ -185,13 +185,13 @@ func TestDisabledPathAllocs(t *testing.T) {
 // allocation-free (append reuses capacity, decimation is in place).
 func TestEnabledSteadyStateAllocs(t *testing.T) {
 	s := NewSampler(4, 16)
-	c := s.Counter("n")
+	c := counter(s, "n")
 	s.GaugeFunc("g", func() float64 { return 1 })
 	drive(s, 4*64) // well past the first decimations
 	var cyc int64 = 4 * 64
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			c.Inc()
+			*c++
 			cyc++
 			s.Tick(cyc)
 		}
@@ -201,8 +201,8 @@ func TestEnabledSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCounterFunc: callback-backed counters sample deltas like handle
-// counters.
+// TestCounterFunc: counter series sample the source's per-window
+// deltas.
 func TestCounterFunc(t *testing.T) {
 	s := NewSampler(5, 8)
 	var total int64
@@ -218,20 +218,41 @@ func TestCounterFunc(t *testing.T) {
 	}
 }
 
-// TestDuplicateRegistration: re-requesting a counter by name returns
-// the same handle; cross-kind reuse panics.
-func TestDuplicateRegistration(t *testing.T) {
-	s := NewSampler(4, 8)
-	a, b := s.Counter("n"), s.Counter("n")
-	if a != b {
-		t.Fatal("same-name Counter returned different handles")
+// TestCounterFuncBase: a source already nonzero at registration (an
+// obs counter shared with earlier runs, say) contributes only the
+// events counted after registration.
+func TestCounterFuncBase(t *testing.T) {
+	s := NewSampler(5, 8)
+	total := int64(1000)
+	s.CounterFunc("jobs", func() int64 { return total })
+	for cyc := int64(0); cyc < 10; cyc++ {
+		total += 2
+		s.Tick(cyc + 1)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering a gauge over a counter did not panic")
-		}
-	}()
-	s.GaugeFunc("n", func() float64 { return 0 })
+	got := s.Values("jobs")
+	if len(got) != 2 || got[0] != 10 || got[1] != 10 {
+		t.Fatalf("CounterFunc deltas = %v, want [10 10]", got)
+	}
+}
+
+// TestDuplicateRegistration: registering a series name twice panics,
+// whether as the same kind or across kinds.
+func TestDuplicateRegistration(t *testing.T) {
+	for name, second := range map[string]func(s *Sampler){
+		"counter": func(s *Sampler) { counter(s, "n") },
+		"gauge":   func(s *Sampler) { s.GaugeFunc("n", func() float64 { return 0 }) },
+	} {
+		func() {
+			s := NewSampler(4, 8)
+			counter(s, "n")
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering a %s over a counter did not panic", name)
+				}
+			}()
+			second(s)
+		}()
+	}
 }
 
 // TestMSERConstantSeries: a stationary series converges with cut 0.
@@ -306,10 +327,10 @@ func TestMSERAllocs(t *testing.T) {
 func TestWriteNDJSONAndValidate(t *testing.T) {
 	mk := func() *Sampler {
 		s := NewSampler(8, 16)
-		c := s.Counter("flits")
+		c := counter(s, "flits")
 		s.GaugeFunc("queue", func() float64 { return 3.5 })
 		for cyc := int64(0); cyc < 40; cyc++ {
-			c.Inc()
+			*c++
 			s.Tick(cyc + 1)
 		}
 		return s

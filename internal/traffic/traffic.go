@@ -147,11 +147,6 @@ func NewRandomPermutation(radix int, seed uint64) Permutation {
 	return Permutation{perm: prng.New(seed).Perm(radix)}
 }
 
-// NewPermutation wraps an explicit permutation.
-func NewPermutation(perm []int) Permutation {
-	return Permutation{perm: append([]int(nil), perm...)}
-}
-
 // Next implements sim.Traffic.
 func (p Permutation) Next(input int, _ int64, load float64, rng *prng.Source) (int, bool) {
 	if !rng.Bernoulli(load) {

@@ -19,4 +19,7 @@ package version
 //	model-5  kilocore runs on fabric; noc deleted
 //	model-6  hirise-sim -design 2d runs interlayer, layerlocal and binadv
 //	         traffic on the -layers map, as served loadsweeps do
-const Model = "model-6"
+//	model-7  result latencies binned by obs.Histogram: AvgLatency is
+//	         sum/count, not Welford's running mean, so it changes in its
+//	         last bits in serialized results; printed tables are unchanged
+const Model = "model-7"
