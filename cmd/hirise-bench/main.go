@@ -173,6 +173,14 @@ func main() {
 			}
 		}
 	})
+	if *warmup < 0 {
+		fmt.Fprintf(os.Stderr, "-warmup %d is negative\n", *warmup)
+		os.Exit(2)
+	}
+	if *measure < 0 {
+		fmt.Fprintf(os.Stderr, "-measure %d is negative\n", *measure)
+		os.Exit(2)
+	}
 	opts.Workers = *parallel
 	opts.ConvergeStop = *convStop
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -16,6 +17,39 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// TestMain runs the command's main instead of the tests when
+// HIRISE_BENCH_MAIN is set, so a test can drive the real flag handling
+// and exit status by re-executing the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("HIRISE_BENCH_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestNegativeWindowFlags: a negative -warmup or -measure is rejected
+// before anything runs, with one stderr line naming the flag and value
+// and exit status 2 (the simulator would panic on it mid-run).
+func TestNegativeWindowFlags(t *testing.T) {
+	for _, flagName := range []string{"-warmup", "-measure"} {
+		cmd := exec.Command(os.Args[0], "-run", "fig10", "-quick", flagName, "-5")
+		cmd.Env = append(os.Environ(), "HIRISE_BENCH_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		code := -1
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		}
+		errw := stderr.String()
+		if code != 2 || stdout.Len() != 0 || strings.Count(errw, "\n") != 1 || !strings.Contains(errw, flagName+" -5") {
+			t.Errorf("%s -5: exit %d (%v), stdout %q, stderr %q; want exit 2 and one stderr line naming it",
+				flagName, code, err, stdout.String(), errw)
+		}
+	}
+}
 
 func TestResolveIDs(t *testing.T) {
 	valid := []string{"table1", "table4", "fig10"}

@@ -55,6 +55,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := checkFlags(*requests, *rate, *keyspace, *radix); err != nil {
+		fmt.Fprintf(os.Stderr, "hirise-loadgen: %v\n", err)
+		os.Exit(2)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	rep, err := loadgen.Run(ctx, loadgen.Config{
@@ -97,4 +102,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hirise-loadgen: run NOT clean (lost, failed, or mismatched requests)")
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects workload sizes that must be positive. loadgen.Config
+// reads zero as "use the default", which on the command line would
+// silently replace what the user typed.
+func checkFlags(requests int, rate float64, keyspace, radix int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"requests", requests}, {"keyspace", keyspace}, {"radix", radix}} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s %d must be positive", f.name, f.v)
+		}
+	}
+	if !(rate > 0) {
+		return fmt.Errorf("-rate %v must be positive", rate)
+	}
+	return nil
 }

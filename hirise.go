@@ -532,13 +532,10 @@ type (
 // figure, plus ablations).
 func Experiments() []string { return experiments.IDs() }
 
-// RunExperiment regenerates one paper artifact.
+// RunExperiment regenerates one paper artifact, under opts.Ctx when it
+// is set.
 func RunExperiment(id string, opts ExperimentOpts) (*ExperimentTable, error) {
-	r, err := experiments.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return r(opts), nil
+	return experiments.RunCtx(opts.Ctx, id, opts)
 }
 
 // RunExperimentCtx is RunExperiment under a cancellable context: the

@@ -63,6 +63,11 @@ func TestFacadeExperiments(t *testing.T) {
 	if _, err := hirise.RunExperiment("nope", hirise.QuickExperimentOpts()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	bad := hirise.QuickExperimentOpts()
+	bad.Warmup = -5
+	if _, err := hirise.RunExperiment("fig10", bad); err == nil {
+		t.Error("negative warmup accepted")
+	}
 }
 
 func TestFacadeManycore(t *testing.T) {

@@ -2,14 +2,21 @@
 // family and of the Hi-Rise hierarchical switch (paper §III-B):
 //
 //   - LRG: least-recently-granted priority, the scheme embedded in the 2D
-//     Swizzle-Switch cross-points;
+//     Swizzle-Switch cross-points (Matrix is its literal priority-bit
+//     form);
 //   - CLRG: the paper's class-based LRG, which bins contenders into
 //     priority classes by a per-primary-input usage counter and
 //     tie-breaks within a class using LRG;
 //   - WLRG: weighted LRG, which freezes priorities in proportion to the
 //     number of requestors behind a channel (hardware-infeasible, modeled
 //     for comparison);
+//   - QoS: the weighted bandwidth shares the Swizzle-Switch silicon also
+//     supports;
 //   - RoundRobin and Fixed, used by ablations.
+//
+// Every arbiter takes its requests as one bitset (internal/bitvec), one
+// bit per requestor: a cross-point column evaluates all of its priority
+// lines at once, and the model evaluates a word of them at once.
 //
 // Grant and Update are deliberately separate operations: in Hi-Rise the
 // local switch's priority vector is updated only when its winner also wins
@@ -24,32 +31,19 @@ import (
 )
 
 // Arbiter selects one winner among n requestors for a single resource.
-// Grant must not mutate arbiter state; Update commits the priority change
-// for a winner.
+// Grant picks a round's winner and Update commits it. A round whose Grant
+// is not followed by Update is a round nobody won: the priority arbiters
+// keep their state, and QoS still credits the round's requestors.
 type Arbiter interface {
 	// N returns the number of requestor slots.
 	N() int
-	// Grant returns the winning requestor index, or -1 if req has no true
-	// entry. len(req) must equal N().
-	Grant(req []bool) int
+	// Grant returns the winning requestor among the set bits of req, or
+	// -1 if none is set. req must span bitvec.WordsFor(N()) words with
+	// no bit at or beyond N() set. Grant never commits its own round
+	// (internal scratch may be reused).
+	Grant(req bitvec.Vec) int
 	// Update records that winner was granted, adjusting priorities.
 	Update(winner int)
-}
-
-// BitArbiter is an Arbiter whose grant path accepts the word-parallel
-// bitset request view directly. Every arbiter in this package
-// implements it except QoS (whose adapter needs the mask at Update
-// time); the switch models arbitrate exclusively through GrantBits, so
-// no per-cycle []bool materialization happens on the hot path. Like
-// Grant, GrantBits must leave arbitration state observably unchanged
-// (internal scratch may be reused). req must span WordsFor(N()) words
-// with no bits at or beyond N() set.
-type BitArbiter interface {
-	Arbiter
-	// GrantBits returns the winning requestor index among the set bits
-	// of req, or -1 if none is set. It grants exactly the requestor
-	// Grant would on the equivalent []bool mask.
-	GrantBits(req bitvec.Vec) int
 }
 
 // LRG is least-recently-granted arbitration: the winner of each grant
@@ -114,21 +108,11 @@ func (l *LRG) identity() {
 // N returns the number of requestor slots.
 func (l *LRG) N() int { return len(l.order) }
 
-// Grant returns the highest-priority requestor, or -1.
-func (l *LRG) Grant(req []bool) int {
-	for _, r := range l.order {
-		if req[r] {
-			return r
-		}
-	}
-	return -1
-}
-
-// GrantBits returns the highest-priority requestor among the set bits
-// of req, or -1. The winner is the set bit with the minimum priority
-// position, found by iterating only the set bits — one
-// TrailingZeros64 step per requestor instead of an order-list scan.
-func (l *LRG) GrantBits(req bitvec.Vec) int {
+// Grant returns the highest-priority requestor among the set bits of
+// req, or -1. The winner is the set bit with the minimum priority
+// position, found by iterating only the set bits — one TrailingZeros64
+// step per requestor instead of an order-list scan.
+func (l *LRG) Grant(req bitvec.Vec) int {
 	best, bestPos := -1, len(l.order)
 	for w, word := range req {
 		for word != 0 {
@@ -183,42 +167,9 @@ func NewRoundRobin(n int) *RoundRobin { return &RoundRobin{n: n} }
 // N returns the number of requestor slots.
 func (r *RoundRobin) N() int { return r.n }
 
-// Grant returns the next requestor in cyclic order, or -1.
-func (r *RoundRobin) Grant(req []bool) int {
-	for i := 0; i < r.n; i++ {
-		c := (r.next + i) % r.n
-		if req[c] {
-			return c
-		}
-	}
-	return -1
-}
-
-// GrantBits returns the next requestor in cyclic order among the set
-// bits of req, or -1: the lowest set bit at or after next, wrapping.
-func (r *RoundRobin) GrantBits(req bitvec.Vec) int {
-	if len(req) == 0 {
-		return -1
-	}
-	sw, sb := r.next>>6, uint(r.next&63)
-	if w := req[sw] & (^uint64(0) << sb); w != 0 {
-		return sw<<6 | bits.TrailingZeros64(w)
-	}
-	for k := sw + 1; k < len(req); k++ {
-		if req[k] != 0 {
-			return k<<6 | bits.TrailingZeros64(req[k])
-		}
-	}
-	for k := 0; k < sw; k++ {
-		if req[k] != 0 {
-			return k<<6 | bits.TrailingZeros64(req[k])
-		}
-	}
-	if w := req[sw] &^ (^uint64(0) << sb); w != 0 {
-		return sw<<6 | bits.TrailingZeros64(w)
-	}
-	return -1
-}
+// Grant returns the next requestor in cyclic order among the set bits
+// of req, or -1: the lowest set bit at or after next, wrapping.
+func (r *RoundRobin) Grant(req bitvec.Vec) int { return req.NextWrap(r.next) }
 
 // Update advances the scan position past the winner. The advance is
 // unconditional by design: accept-gating is the caller's job (see the
@@ -236,18 +187,8 @@ func NewFixed(n int) *Fixed { return &Fixed{n: n} }
 // N returns the number of requestor slots.
 func (f *Fixed) N() int { return f.n }
 
-// Grant returns the lowest-index requestor, or -1.
-func (f *Fixed) Grant(req []bool) int {
-	for i := 0; i < f.n; i++ {
-		if req[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-// GrantBits returns the lowest set bit of req, or -1.
-func (f *Fixed) GrantBits(req bitvec.Vec) int { return req.First() }
+// Grant returns the lowest set bit of req, or -1.
+func (f *Fixed) Grant(req bitvec.Vec) int { return req.First() }
 
 // Update is a no-op for fixed priority.
 func (f *Fixed) Update(int) {}

@@ -4,13 +4,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/reprolab/hirise/internal/bitvec"
 	"github.com/reprolab/hirise/internal/prng"
 )
 
-func req(n int, set ...int) []bool {
-	r := make([]bool, n)
+// req returns an n-requestor request bitset with the given bits set.
+func req(n int, set ...int) bitvec.Vec {
+	r := bitvec.New(n)
 	for _, i := range set {
-		r[i] = true
+		r.Set(i)
 	}
 	return r
 }
@@ -92,10 +94,10 @@ func TestMatrixMatchesListLRG(t *testing.T) {
 		src := prng.New(seed)
 		n := 2 + src.Intn(15)
 		list, matrix := NewLRG(n), NewMatrix(n)
-		r := make([]bool, n)
+		r := bitvec.New(n)
 		for step := 0; step < 300; step++ {
-			for i := range r {
-				r[i] = src.Bernoulli(0.4)
+			for i := 0; i < n; i++ {
+				r.SetTo(i, src.Bernoulli(0.4))
 			}
 			a, b := list.Grant(r), matrix.Grant(r)
 			if a != b {

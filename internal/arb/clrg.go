@@ -24,7 +24,6 @@ type CLRG struct {
 	counters []uint8    // one per primary input
 	maxClass uint8      // counters saturate at this value (classes-1)
 	masked   bitvec.Vec // scratch: best-class request mask, reused per Grant
-	reqBits  bitvec.Vec // adapter scratch for the []bool Grant
 	audit    *obs.FairnessAudit
 }
 
@@ -53,7 +52,6 @@ func newCLRG(lrg *LRG, inputs, classes int) *CLRG {
 		counters: make([]uint8, inputs),
 		maxClass: uint8(classes - 1),
 		masked:   bitvec.New(lrg.N()),
-		reqBits:  bitvec.New(lrg.N()),
 	}
 }
 
@@ -71,32 +69,15 @@ func (c *CLRG) Lines() int { return c.lrg.N() }
 // highest priority).
 func (c *CLRG) Class(input int) int { return int(c.counters[input]) }
 
-// Grant returns the winning line among those with req set, where
+// Grant returns the winning line among the set bits of req, where
 // inputOf[line] is the primary input the line is presenting this cycle.
-// It returns -1 if nothing requests. Arbitration state is not modified;
-// an attached audit records each contender's outcome (Grant is called
-// once per sub-block arbitration round, so audit counts are per-round).
-func (c *CLRG) Grant(req []bool, inputOf []int) int {
-	// Early return on an idle round, before the bitset conversion and
-	// the masked-scratch rebuild: sub-blocks with nothing requesting are
-	// the common case in a large switch under light load.
-	any := false
-	for _, r := range req {
-		if r {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return -1
-	}
-	c.reqBits.FromBools(req)
-	return c.GrantBits(c.reqBits, inputOf)
-}
-
-// GrantBits is Grant on the bitset request view. An idle round returns
-// -1 before touching the masked scratch or the audit.
-func (c *CLRG) GrantBits(req bitvec.Vec, inputOf []int) int {
+// It returns -1 if nothing requests, before touching the masked scratch
+// or the audit: sub-blocks with nothing requesting are the common case
+// in a large switch under light load. Arbitration state is not
+// modified; an attached audit records each contender's outcome (Grant
+// is called once per sub-block arbitration round, so audit counts are
+// per-round).
+func (c *CLRG) Grant(req bitvec.Vec, inputOf []int) int {
 	if req.None() {
 		return -1
 	}
@@ -121,7 +102,7 @@ func (c *CLRG) GrantBits(req bitvec.Vec, inputOf []int) int {
 			}
 		}
 	}
-	win := c.lrg.GrantBits(c.masked)
+	win := c.lrg.Grant(c.masked)
 	if c.audit != nil {
 		for w, word := range req {
 			for word != 0 {
@@ -173,11 +154,9 @@ func NewWLRG(lines int) *WLRG {
 // Lines returns the number of contending lines.
 func (w *WLRG) Lines() int { return w.lrg.N() }
 
-// Grant returns the highest-priority requesting line, or -1.
-func (w *WLRG) Grant(req []bool) int { return w.lrg.Grant(req) }
-
-// GrantBits is Grant on the bitset request view.
-func (w *WLRG) GrantBits(req bitvec.Vec) int { return w.lrg.GrantBits(req) }
+// Grant returns the highest-priority requesting line among the set bits
+// of req, or -1.
+func (w *WLRG) Grant(req bitvec.Vec) int { return w.lrg.Grant(req) }
 
 // Update commits a win by line whose current weight (requestor count at
 // its local switch, >= 1) is weight. The LRG priority drops only after

@@ -174,8 +174,8 @@ func TestCLRGNoRequestors(t *testing.T) {
 }
 
 // TestCLRGEmptyRoundLeavesStateUntouched pins the empty-request fast
-// path: an idle round must return -1 before touching the masked scratch
-// or the audit, through both the []bool and the bitset entry points.
+// path: idle rounds must return -1 before touching the masked scratch
+// or the audit.
 func TestCLRGEmptyRoundLeavesStateUntouched(t *testing.T) {
 	c := NewCLRG(3, 4, 3)
 	audit := obs.NewFairnessAudit(4, 3)
@@ -186,11 +186,10 @@ func TestCLRGEmptyRoundLeavesStateUntouched(t *testing.T) {
 		t.Fatalf("winner %d, want 1", w)
 	}
 	saved := append(bitvec.Vec(nil), c.masked...)
-	if w := c.Grant(req(3), inputOf); w != -1 {
-		t.Fatalf("[]bool idle round granted %d", w)
-	}
-	if w := c.GrantBits(bitvec.New(3), inputOf); w != -1 {
-		t.Fatalf("bitset idle round granted %d", w)
+	for round := 0; round < 2; round++ {
+		if w := c.Grant(req(3), inputOf); w != -1 {
+			t.Fatalf("idle round %d granted %d", round, w)
+		}
 	}
 	if !c.masked.Equal(saved) {
 		t.Error("idle round touched the masked scratch")
@@ -200,16 +199,12 @@ func TestCLRGEmptyRoundLeavesStateUntouched(t *testing.T) {
 	}
 }
 
-// TestWLRGNoRequestors pins WLRG's empty-request path on both entry
-// points; a later contested round still sees the untouched initial
-// priority order.
+// TestWLRGNoRequestors pins WLRG's empty-request path; a later contested
+// round still sees the untouched initial priority order.
 func TestWLRGNoRequestors(t *testing.T) {
 	w := NewWLRG(4)
 	if g := w.Grant(req(4)); g != -1 {
-		t.Fatalf("[]bool idle round granted %d", g)
-	}
-	if g := w.GrantBits(bitvec.New(4)); g != -1 {
-		t.Fatalf("bitset idle round granted %d", g)
+		t.Fatalf("idle round granted %d", g)
 	}
 	if g := w.Grant(req(4, 2, 3)); g != 2 {
 		t.Fatalf("winner %d, want 2", g)
@@ -237,10 +232,7 @@ func TestCLRGPanicsOnBadClassCount(t *testing.T) {
 func TestCLRGPaperAdversarialSequence(t *testing.T) {
 	sub := NewCLRGFromOrder([]int{1, 0}, 64, 3) // line 1 (C2,4) highest
 	localL1 := NewLRGFromOrder([]int{15, 11, 7, 3, 0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14})
-	l1Req := make([]bool, 16)
-	for _, i := range []int{3, 7, 11, 15} {
-		l1Req[i] = true
-	}
+	l1Req := req(16, 3, 7, 11, 15)
 
 	var winners []int
 	for cycle := 0; cycle < 10; cycle++ {
@@ -286,10 +278,10 @@ func TestWLRGWeightOneBehavesLikeLRG(t *testing.T) {
 		src := prng.New(seed)
 		n := 2 + src.Intn(6)
 		w, l := NewWLRG(n), NewLRG(n)
-		r := make([]bool, n)
+		r := bitvec.New(n)
 		for step := 0; step < 200; step++ {
-			for i := range r {
-				r[i] = src.Bernoulli(0.5)
+			for i := 0; i < n; i++ {
+				r.SetTo(i, src.Bernoulli(0.5))
 			}
 			a, b := w.Grant(r), l.Grant(r)
 			if a != b {
@@ -316,9 +308,9 @@ func TestWLRGClampsWeight(t *testing.T) {
 
 func BenchmarkLRGGrant64(b *testing.B) {
 	l := NewLRG(64)
-	r := make([]bool, 64)
+	r := bitvec.New(64)
 	for i := 0; i < 64; i += 3 {
-		r[i] = true
+		r.Set(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -329,10 +321,10 @@ func BenchmarkLRGGrant64(b *testing.B) {
 
 func BenchmarkCLRGGrant13(b *testing.B) {
 	c := NewCLRG(13, 64, 3)
-	r := make([]bool, 13)
+	r := bitvec.New(13)
 	inputOf := make([]int, 13)
-	for i := range r {
-		r[i] = i%2 == 0
+	for i := range inputOf {
+		r.SetTo(i, i%2 == 0)
 		inputOf[i] = i * 4
 	}
 	b.ResetTimer()

@@ -15,11 +15,11 @@ func FuzzListMatrixEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, stream []byte) {
 		n := 2 + int(nRaw%15)
 		list, matrix := NewLRG(n), NewMatrix(n)
-		req := make([]bool, n)
+		req := bitvec.New(n)
 		src := prng.New(seed)
 		for _, b := range stream {
-			for i := range req {
-				req[i] = (b>>(uint(i)%8))&1 == 1 && src.Bernoulli(0.9)
+			for i := 0; i < n; i++ {
+				req.SetTo(i, (b>>(uint(i)%8))&1 == 1 && src.Bernoulli(0.9))
 			}
 			a, bb := list.Grant(req), matrix.Grant(req)
 			if a != bb {
@@ -36,59 +36,9 @@ func FuzzListMatrixEquivalence(f *testing.F) {
 	})
 }
 
-// boolMatrix is the pre-bitset Matrix implementation, kept verbatim as
-// a test-only reference: a nested [][]bool beats table, a per-requestor
-// inhibition scan, and an ascending winner search. The word-parallel
-// Matrix must agree with it on every request pattern and update
-// sequence.
-type boolMatrix struct {
-	n     int
-	beats [][]bool
-}
-
-func newBoolMatrix(n int) *boolMatrix {
-	m := &boolMatrix{n: n, beats: make([][]bool, n)}
-	for i := range m.beats {
-		m.beats[i] = make([]bool, n)
-		for j := i + 1; j < n; j++ {
-			m.beats[i][j] = true
-		}
-	}
-	return m
-}
-
-func (m *boolMatrix) grant(req []bool) int {
-	for i := 0; i < m.n; i++ {
-		if !req[i] {
-			continue
-		}
-		inhibited := false
-		for j := 0; j < m.n; j++ {
-			if j != i && req[j] && m.beats[j][i] {
-				inhibited = true
-				break
-			}
-		}
-		if !inhibited {
-			return i
-		}
-	}
-	return -1
-}
-
-func (m *boolMatrix) update(winner int) {
-	for j := 0; j < m.n; j++ {
-		m.beats[winner][j] = false
-		if j != winner {
-			m.beats[j][winner] = true
-		}
-	}
-}
-
 // FuzzBitsetMatrixEquivalence pins the word-parallel Matrix kernel to
-// the legacy bool-slice formulation: identical grants on every request
-// pattern, through both entry points, across arbitrary update
-// sequences. Seeds cover the one-word fast path (N=64, N=13) and the
+// the bool-slice formulation (boolMatrix in ref_test.go): identical
+// grants on every request pattern, across arbitrary update sequences. Seeds cover the one-word fast path (N=64, N=13) and the
 // multi-word path (N up to 130).
 func FuzzBitsetMatrixEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(63), []byte{0xAA, 0x0F, 0x33})     // 64 lines: one full word
@@ -104,13 +54,10 @@ func FuzzBitsetMatrixEquivalence(f *testing.F) {
 			for i := range req {
 				req[i] = (b>>(uint(i)%8))&1 == 1 && src.Bernoulli(0.8)
 			}
-			reqBits.FromBools(req)
-			a, c := fast.GrantBits(reqBits), ref.grant(req)
+			fill(reqBits, req)
+			a, c := fast.Grant(reqBits), ref.grant(req)
 			if a != c {
 				t.Fatalf("bitset %d vs bool %d on %v", a, c, req)
-			}
-			if b2 := fast.Grant(req); b2 != a {
-				t.Fatalf("Grant %d disagrees with GrantBits %d", b2, a)
 			}
 			if a >= 0 {
 				fast.Update(a)
@@ -123,23 +70,23 @@ func FuzzBitsetMatrixEquivalence(f *testing.F) {
 	})
 }
 
-// grantBitsSizes are the port counts the Grant/GrantBits differential
-// fuzzes pin: sub-word (13), one bit short of a word (63), one bit into
-// the second word (65), and a ragged third word (130). These cross every
-// boundary the wrap-around scan in RoundRobin.GrantBits has to handle.
-var grantBitsSizes = []int{13, 63, 65, 130}
+// grantSizes are the port counts the reference differential fuzzes
+// pin: sub-word (13), one bit short of a word (63), one bit into the
+// second word (65), and a ragged third word (130). These cross every
+// boundary the wrap-around scan in RoundRobin.Grant has to handle.
+var grantSizes = []int{13, 63, 65, 130}
 
 // FuzzRoundRobinGrantEquivalence differential-fuzzes RoundRobin.Grant
-// against GrantBits at non-multiple-of-64 sizes, forcing the scan
-// pointer into every word — in particular into the tail word, and onto
-// request patterns whose only set bits lie below the pointer (the
-// wrap-around segment of GrantBits).
+// against its cyclic []bool scan at non-multiple-of-64 sizes, forcing
+// the scan pointer into every word — in particular into the tail word,
+// and onto request patterns whose only set bits lie below the pointer
+// (the wrap-around segment).
 func FuzzRoundRobinGrantEquivalence(f *testing.F) {
 	f.Add(uint64(1), []byte{0xAA, 0x0F, 0x33, 0x80})
 	f.Add(uint64(9), []byte{0x01, 0, 0xFF, 0x42, 0x7})
 	f.Fuzz(func(t *testing.T, seed uint64, stream []byte) {
 		src := prng.New(seed)
-		for _, n := range grantBitsSizes {
+		for _, n := range grantSizes {
 			r := NewRoundRobin(n)
 			req := make([]bool, n)
 			reqBits := bitvec.New(n)
@@ -162,10 +109,10 @@ func FuzzRoundRobinGrantEquivalence(f *testing.F) {
 						req[i] = false
 					}
 				}
-				reqBits.FromBools(req)
-				want := r.Grant(req)
-				if got := r.GrantBits(reqBits); got != want {
-					t.Fatalf("n=%d next=%d: GrantBits %d vs Grant %d on %v", n, r.next, got, want, req)
+				fill(reqBits, req)
+				want := refRoundRobinGrant(r, req)
+				if got := r.Grant(reqBits); got != want {
+					t.Fatalf("n=%d next=%d: Grant %d vs reference %d on %v", n, r.next, got, want, req)
 				}
 				if want >= 0 {
 					r.Update(want)
@@ -175,14 +122,15 @@ func FuzzRoundRobinGrantEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzLRGFixedGrantEquivalence is the same differential for the LRG and
-// Fixed arbiters' two grant paths, across update sequences.
+// FuzzLRGFixedGrantEquivalence is the same differential for the LRG,
+// Fixed and WLRG arbiters against their []bool references, across update
+// sequences (WLRG with arbitrary weights, so its priority freezes).
 func FuzzLRGFixedGrantEquivalence(f *testing.F) {
 	f.Add(uint64(2), []byte{0xF0, 0x55, 0x03})
 	f.Fuzz(func(t *testing.T, seed uint64, stream []byte) {
 		src := prng.New(seed)
-		for _, n := range grantBitsSizes {
-			lrg, fixed := NewLRG(n), NewFixed(n)
+		for _, n := range grantSizes {
+			lrg, fixed, wlrg := NewLRG(n), NewFixed(n), NewWLRG(n)
 			req := make([]bool, n)
 			reqBits := bitvec.New(n)
 			for _, b := range stream {
@@ -190,17 +138,23 @@ func FuzzLRGFixedGrantEquivalence(f *testing.F) {
 				for i := range req {
 					req[i] = src.Bernoulli(dens)
 				}
-				reqBits.FromBools(req)
-				want := lrg.Grant(req)
-				if got := lrg.GrantBits(reqBits); got != want {
-					t.Fatalf("n=%d LRG: GrantBits %d vs Grant %d on %v", n, got, want, req)
+				fill(reqBits, req)
+				want := refLRGGrant(lrg, req)
+				if got := lrg.Grant(reqBits); got != want {
+					t.Fatalf("n=%d LRG: Grant %d vs reference %d on %v", n, got, want, req)
 				}
 				if want >= 0 {
 					lrg.Update(want)
 				}
-				fw := fixed.Grant(req)
-				if got := fixed.GrantBits(reqBits); got != fw {
-					t.Fatalf("n=%d Fixed: GrantBits %d vs Grant %d on %v", n, got, fw, req)
+				if got, fw := fixed.Grant(reqBits), refFixedGrant(req); got != fw {
+					t.Fatalf("n=%d Fixed: Grant %d vs reference %d on %v", n, got, fw, req)
+				}
+				ww := refLRGGrant(wlrg.lrg, req)
+				if got := wlrg.Grant(reqBits); got != ww {
+					t.Fatalf("n=%d WLRG: Grant %d vs reference %d on %v", n, got, ww, req)
+				}
+				if ww >= 0 {
+					wlrg.Update(ww, 1+src.Intn(4))
 				}
 			}
 		}
@@ -208,8 +162,8 @@ func FuzzLRGFixedGrantEquivalence(f *testing.F) {
 }
 
 // FuzzCLRGNeverGrantsIdle fuzzes CLRG with arbitrary line/input streams:
-// the winner must always be a requesting line, counters stay bounded,
-// and no-requestor rounds return -1.
+// the winner is the one its []bool reference picks, always a requesting
+// line, counters stay bounded, and no-requestor rounds return -1.
 func FuzzCLRGNeverGrantsIdle(f *testing.F) {
 	f.Add(uint64(3), uint8(5), uint8(20), []byte{1, 2, 3, 4})
 	f.Fuzz(func(t *testing.T, seed uint64, linesRaw, inputsRaw uint8, stream []byte) {
@@ -217,6 +171,7 @@ func FuzzCLRGNeverGrantsIdle(f *testing.F) {
 		inputs := lines + int(inputsRaw%50)
 		c := NewCLRG(lines, inputs, 3)
 		req := make([]bool, lines)
+		reqBits := bitvec.New(lines)
 		inputOf := make([]int, lines)
 		src := prng.New(seed)
 		for _, b := range stream {
@@ -226,7 +181,12 @@ func FuzzCLRGNeverGrantsIdle(f *testing.F) {
 				any = any || req[i]
 				inputOf[i] = src.Intn(inputs)
 			}
-			w := c.Grant(req, inputOf)
+			fill(reqBits, req)
+			want := refCLRGGrant(c, req, inputOf)
+			w := c.Grant(reqBits, inputOf)
+			if w != want {
+				t.Fatalf("Grant %d vs reference %d on %v (inputs %v)", w, want, req, inputOf)
+			}
 			if w == -1 {
 				if any {
 					t.Fatalf("no grant despite requests %v", req)
@@ -240,6 +200,51 @@ func FuzzCLRGNeverGrantsIdle(f *testing.F) {
 			for in := 0; in < inputs; in++ {
 				if cl := c.Class(in); cl < 0 || cl > 2 {
 					t.Fatalf("class %d out of range", cl)
+				}
+			}
+		}
+	})
+}
+
+// FuzzQoSMatchesReference drives QoS and its []bool reference (refQoS)
+// with arbitrary weights and request streams, and takes the winner only
+// on some rounds: the rest, and every empty round, end without Update,
+// so the lazy winnerless commit runs too. Winners and credit must agree
+// after every round.
+func FuzzQoSMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(3), []byte{0xFF, 0x0F, 0, 0x33, 0xAA})
+	f.Add(uint64(5), uint8(64), []byte{0x80, 0xFF, 0xFF, 0x01, 0, 0x7E})
+	f.Add(uint64(8), uint8(129), []byte{0x55, 0xC3, 0, 0xFF})
+	// A credit tie after LRG has reordered requestors away from index
+	// order: ties must follow LRG priority, not the lowest index.
+	f.Add(uint64(59), uint8(3), []byte("0100000a0"))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, stream []byte) {
+		n := 1 + int(nRaw)%130
+		src := prng.New(seed)
+		weights := make([]int, n)
+		for i := range weights {
+			weights[i] = 1 + src.Intn(4) // small weights make credit ties common
+		}
+		q, ref := NewQoS(weights), newRefQoS(weights)
+		req := make([]bool, n)
+		reqBits := bitvec.New(n)
+		for _, b := range stream {
+			dens := float64(b) / 255
+			for i := range req {
+				req[i] = src.Bernoulli(dens)
+			}
+			fill(reqBits, req)
+			got, want := q.Grant(reqBits), ref.grant(req)
+			if got != want {
+				t.Fatalf("n=%d: Grant %d vs reference %d on %v (credit %v)", n, got, want, req, ref.credit)
+			}
+			if got >= 0 && b&1 == 1 {
+				q.Update(got)
+				ref.update(want)
+			}
+			for i := range q.credit {
+				if q.credit[i] != ref.credit[i] {
+					t.Fatalf("n=%d: credit[%d] = %d, reference %d", n, i, q.credit[i], ref.credit[i])
 				}
 			}
 		}

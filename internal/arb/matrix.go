@@ -22,9 +22,7 @@ type Matrix struct {
 	n     int
 	beats []bitvec.Vec // row i: the set of requestors i beats
 
-	// Scratch, reused per Grant (like the hardware's precharged lines).
-	inhibited bitvec.Vec
-	reqBits   bitvec.Vec // adapter scratch for the []bool Grant
+	inhibited bitvec.Vec // scratch, reused per Grant (like the hardware's precharged lines)
 }
 
 // NewMatrix returns a matrix LRG arbiter with initial priority order
@@ -34,7 +32,6 @@ func NewMatrix(n int) *Matrix {
 		n:         n,
 		beats:     make([]bitvec.Vec, n),
 		inhibited: bitvec.New(n),
-		reqBits:   bitvec.New(n),
 	}
 	for i := range m.beats {
 		m.beats[i] = bitvec.New(n)
@@ -62,17 +59,11 @@ func NewMatrixFromOrder(order []int) *Matrix {
 func (m *Matrix) N() int { return m.n }
 
 // Grant returns the requestor that no other requestor beats: in hardware,
-// the one whose priority line is not pulled down by anyone.
-func (m *Matrix) Grant(req []bool) int {
-	m.reqBits.FromBools(req)
-	return m.GrantBits(m.reqBits)
-}
-
-// GrantBits is Grant on the bitset request view: the union of the
-// requestors' rows is the set of pulled-down lines, and the winner is
-// the lowest requestor whose own line stayed high — one masked
-// AND-NOT per word.
-func (m *Matrix) GrantBits(req bitvec.Vec) int {
+// the one whose priority line is not pulled down by anyone. The union of
+// the requestors' rows is the set of pulled-down lines, and the winner is
+// the lowest requestor whose own line stayed high — one masked AND-NOT
+// per word.
+func (m *Matrix) Grant(req bitvec.Vec) int {
 	inh := m.inhibited
 	inh.Zero()
 	for w, word := range req {

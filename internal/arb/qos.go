@@ -1,20 +1,30 @@
 package arb
 
+import (
+	"math/bits"
+
+	"github.com/reprolab/hirise/internal/bitvec"
+)
+
 // QoS implements the weighted quality-of-service arbitration the
 // Swizzle-Switch silicon supports alongside LRG (paper §II cites the
 // ISSCC'12/DAC'12 parts, refs [11][15]): each input holds a programmable
 // weight and receives a proportional share of the output's bandwidth
 // under contention. The implementation is a smoothed weighted
 // round-robin: requestors accrue credit by weight, the richest requestor
-// wins (LRG breaking ties), and a win spends the aggregate weight.
+// wins (ties go to the highest LRG priority), and a win spends the
+// aggregate weight.
 //
-// QoS does not satisfy the Arbiter interface: its Update needs the
-// request mask to know who accrued credit, so the crossbar integrates it
-// through NewQoSCrossbarArbiters.
+// Crediting needs the round's request set at Update time, so Grant keeps
+// a bitset snapshot of it. A round that ends without Update (no winner,
+// or a winner the caller does not take) is committed as winnerless at
+// the next Grant: its requestors still accrue credit.
 type QoS struct {
 	weights []int
 	credit  []int64
 	lrg     *LRG
+	last    bitvec.Vec // requestors of the round in progress
+	open    bool       // Grant ran since the last Update
 }
 
 // NewQoS returns a QoS arbiter with the given per-requestor weights
@@ -29,38 +39,48 @@ func NewQoS(weights []int) *QoS {
 		weights: append([]int(nil), weights...),
 		credit:  make([]int64, len(weights)),
 		lrg:     NewLRG(len(weights)),
+		last:    bitvec.New(len(weights)),
 	}
 }
 
 // N returns the number of requestor slots.
 func (q *QoS) N() int { return len(q.weights) }
 
-// Grant returns the requestor with the most credit among req, breaking
-// ties by LRG. State is not modified.
-func (q *QoS) Grant(req []bool) int {
-	best := int64(-1 << 62)
-	for i, r := range req {
-		if r && q.credit[i] > best {
-			best = q.credit[i]
-		}
+// Grant opens a round over the set bits of req, committing the previous
+// round as winnerless if no Update closed it, and returns the requestor
+// with the most credit, or -1 if none is set.
+func (q *QoS) Grant(req bitvec.Vec) int {
+	if q.open {
+		q.commit(-1)
 	}
-	winner := -1
-	for _, i := range q.lrg.Order() {
-		if req[i] && q.credit[i] == best {
-			winner = i
-			break
+	q.last.Copy(req)
+	q.open = true
+	winner, best, bestPos := -1, int64(0), 0
+	for w, word := range req {
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			c, p := q.credit[i], q.lrg.pos[i]
+			if winner < 0 || c > best || c == best && p < bestPos {
+				winner, best, bestPos = i, c, p
+			}
 		}
 	}
 	return winner
 }
 
-// Commit records one arbitration round: every requestor accrues its
-// weight, and the winner (if any) pays the total accrued this round, so
-// long-run shares under backlog converge to the weight ratios.
-func (q *QoS) Commit(req []bool, winner int) {
+// Update commits winner for the round the last Grant opened.
+func (q *QoS) Update(winner int) { q.commit(winner) }
+
+// commit closes the round: every requestor accrues its weight, and the
+// winner (if any) pays the total accrued this round, so long-run shares
+// under backlog converge to the weight ratios.
+func (q *QoS) commit(winner int) {
 	var total int64
-	for i, r := range req {
-		if r {
+	for w, word := range q.last {
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
 			q.credit[i] += int64(q.weights[i])
 			total += int64(q.weights[i])
 		}
@@ -69,42 +89,5 @@ func (q *QoS) Commit(req []bool, winner int) {
 		q.credit[winner] -= total
 		q.lrg.Update(winner)
 	}
-}
-
-// qosAdapter exposes a QoS arbiter through the Arbiter interface by
-// remembering the last granted request mask. Grant/Update must be called
-// in the crossbar's strict grant-then-update order.
-type qosAdapter struct {
-	q       *QoS
-	lastReq []bool
-	granted bool
-}
-
-// NewQoSArbiter wraps weights into an Arbiter usable by
-// crossbar.NewWithArbiters. Each output gets its own instance.
-func NewQoSArbiter(weights []int) Arbiter {
-	return &qosAdapter{q: NewQoS(weights), lastReq: make([]bool, len(weights))}
-}
-
-// N returns the number of requestor slots.
-func (a *qosAdapter) N() int { return a.q.N() }
-
-// Grant snapshots the request mask and returns the QoS winner. A round
-// with no winner still accrues credit, committed lazily at the next
-// Grant.
-func (a *qosAdapter) Grant(req []bool) int {
-	if a.granted {
-		// Previous round ended without an Update: nobody won, but the
-		// requestors still accrued credit.
-		a.q.Commit(a.lastReq, -1)
-	}
-	copy(a.lastReq, req)
-	a.granted = true
-	return a.q.Grant(req)
-}
-
-// Update commits the winner for the mask captured at Grant.
-func (a *qosAdapter) Update(winner int) {
-	a.q.Commit(a.lastReq, winner)
-	a.granted = false
+	q.open = false
 }

@@ -16,7 +16,7 @@ func TestQoSProportionalShares(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		w := q.Grant(all)
 		wins[w]++
-		q.Commit(all, w)
+		q.Update(w)
 	}
 	total := 8.0
 	for i, w := range weights {
@@ -34,14 +34,14 @@ func TestQoSIdleRequestorAccruesNothing(t *testing.T) {
 	q := NewQoS([]int{1, 1})
 	only0 := req(2, 0)
 	for i := 0; i < 100; i++ {
-		q.Commit(only0, q.Grant(only0))
+		q.Update(q.Grant(only0))
 	}
 	both := req(2, 0, 1)
 	wins := make([]int, 2)
 	for i := 0; i < 100; i++ {
 		w := q.Grant(both)
 		wins[w]++
-		q.Commit(both, w)
+		q.Update(w)
 	}
 	if wins[1] > 60 {
 		t.Errorf("returning requestor won %d/100; idle time must not bank credit", wins[1])
@@ -75,7 +75,7 @@ func TestQoSEqualWeightsDegradeToFair(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		w := q.Grant(all)
 		wins[w]++
-		q.Commit(all, w)
+		q.Update(w)
 		_ = src
 	}
 	for i, w := range wins {
@@ -85,8 +85,9 @@ func TestQoSEqualWeightsDegradeToFair(t *testing.T) {
 	}
 }
 
+// TestQoSAdapterInterface drives QoS through the Arbiter interface.
 func TestQoSAdapterInterface(t *testing.T) {
-	a := NewQoSArbiter([]int{1, 3})
+	var a Arbiter = NewQoS([]int{1, 3})
 	if a.N() != 2 {
 		t.Fatal("N wrong")
 	}
@@ -103,7 +104,7 @@ func TestQoSAdapterInterface(t *testing.T) {
 }
 
 func TestQoSAdapterLazyCommitOnNoWinner(t *testing.T) {
-	a := NewQoSArbiter([]int{1, 1})
+	a := NewQoS([]int{1, 1})
 	// Grant with no requestors returns -1 and no Update follows; the
 	// next Grant must still work.
 	if w := a.Grant(req(2)); w != -1 {
@@ -113,4 +114,16 @@ func TestQoSAdapterLazyCommitOnNoWinner(t *testing.T) {
 		t.Fatalf("got %d", w)
 	}
 	a.Update(1)
+
+	// A contested round whose winner is not taken still credits both
+	// requestors when the next Grant commits it: with weights 1 and 2,
+	// requestor 1 then leads on credit and wins, where without the
+	// commit the tie would go to requestor 0 on LRG priority.
+	q := NewQoS([]int{1, 2})
+	if w := q.Grant(req(2, 0, 1)); w != 0 {
+		t.Fatalf("tied round granted %d, want 0", w)
+	}
+	if w := q.Grant(req(2, 0, 1)); w != 1 {
+		t.Fatalf("after a winnerless round granted %d, want 1", w)
+	}
 }

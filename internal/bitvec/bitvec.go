@@ -233,24 +233,6 @@ func (v Vec) Equal(b Vec) bool {
 	return true
 }
 
-// FromBools overwrites v with the bits of req; words beyond len(req)
-// are cleared. len(req) must fit in v.
-func (v Vec) FromBools(req []bool) {
-	v.Zero()
-	for i, r := range req {
-		if r {
-			v.Set(i)
-		}
-	}
-}
-
-// FillBools writes bits [0, len(dst)) of v into dst.
-func (v Vec) FillBools(dst []bool) {
-	for i := range dst {
-		dst[i] = v.Get(i)
-	}
-}
-
 // ForEach calls fn for every set bit in ascending order. Hot paths
 // should inline the word loop instead (see the package comment); this
 // helper is for tests and cold call sites.

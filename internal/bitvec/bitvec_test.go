@@ -3,7 +3,6 @@ package bitvec
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"github.com/reprolab/hirise/internal/prng"
 )
@@ -14,8 +13,18 @@ type refBits []bool
 
 func (r refBits) toVec() Vec {
 	v := New(len(r))
-	v.FromBools(r)
+	r.fill(v)
 	return v
+}
+
+// fill overwrites v with the set entries of r.
+func (r refBits) fill(v Vec) {
+	v.Zero()
+	for i, b := range r {
+		if b {
+			v.Set(i)
+		}
+	}
 }
 
 func (r refBits) first() int {
@@ -109,14 +118,6 @@ func TestVecMatchesBoolReference(t *testing.T) {
 			for i := range want {
 				if seen[i] != want[i] {
 					t.Fatalf("n=%d ForEach order %v want %v", n, seen, want)
-				}
-			}
-
-			dst := make([]bool, n)
-			va.FillBools(dst)
-			for i := range dst {
-				if dst[i] != a[i] {
-					t.Fatalf("n=%d FillBools bit %d", n, i)
 				}
 			}
 		}
@@ -234,28 +235,6 @@ func TestNextWrapMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFromBoolsRoundTrip is the property the arbiter adapters rely on:
-// converting any request mask to a Vec and back is the identity.
-func TestFromBoolsRoundTrip(t *testing.T) {
-	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		src := prng.New(seed)
-		n := 1 + int(nRaw)%130
-		ref := randomRef(src, n, 0.5)
-		v := New(n)
-		v.FromBools(ref)
-		out := make([]bool, n)
-		v.FillBools(out)
-		for i := range ref {
-			if out[i] != ref[i] {
-				return false
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRotateRightMatchesReference checks the n-bit rotation against the
 // bool model at every shift 0..n, for sizes on both sides of each word
 // boundary, and that rotating right by r then by n-r restores the input.
@@ -288,7 +267,9 @@ func TestRotateRightMatchesReference(t *testing.T) {
 // vecToRef reads the first n bits of v into the bool model.
 func vecToRef(v Vec, n int) refBits {
 	r := make(refBits, n)
-	v.FillBools(r)
+	for i := range r {
+		r[i] = v.Get(i)
+	}
 	return r
 }
 
@@ -310,7 +291,7 @@ func TestTransposeMatchesReference(t *testing.T) {
 			rows := make([]refBits, n)
 			for i := range m {
 				rows[i] = randomRef(src, n, p)
-				m[i].FromBools(rows[i])
+				rows[i].fill(m[i])
 			}
 			Transpose(tr, m, n)
 			for j := 0; j < n; j++ {

@@ -42,9 +42,9 @@ type Switch struct {
 	cfg   topo.Config
 	ports int // inputs (= outputs) per layer
 
-	interArb []arb.BitArbiter // per final output: the intermediate-output port arbiter (over local inputs)
-	chArb    []arb.BitArbiter // per L2LC: the local-switch channel port arbiter (over local inputs)
-	subs     []subBlock       // per final output: inter-layer sub-block arbiter
+	interArb []arb.Arbiter // per final output: the intermediate-output port arbiter (over local inputs)
+	chArb    []arb.Arbiter // per L2LC: the local-switch channel port arbiter (over local inputs)
+	subs     []subBlock    // per final output: inter-layer sub-block arbiter
 
 	heldOut  []int  // per input: final output held, or -1
 	heldCh   []int  // per input: L2LC held, or -1
@@ -100,7 +100,7 @@ type Switch struct {
 
 type subBlock struct {
 	scheme topo.Scheme
-	plain  arb.BitArbiter // L-2-L LRG baseline or the iSLIP-1 round-robin analog
+	plain  arb.Arbiter // L-2-L LRG baseline or the iSLIP-1 round-robin analog
 	wlrg   *arb.WLRG
 	clrg   *arb.CLRG
 }
@@ -128,8 +128,8 @@ func New(cfg topo.Config) (*Switch, error) {
 	s := &Switch{
 		cfg:        cfg,
 		ports:      ports,
-		interArb:   make([]arb.BitArbiter, n),
-		chArb:      make([]arb.BitArbiter, cfg.NumL2LC()),
+		interArb:   make([]arb.Arbiter, n),
+		chArb:      make([]arb.Arbiter, cfg.NumL2LC()),
 		subs:       make([]subBlock, n),
 		heldOut:    make([]int, n),
 		heldCh:     make([]int, n),
@@ -178,7 +178,7 @@ func New(cfg topo.Config) (*Switch, error) {
 	// on these arbiters runs only during grant back-propagation, i.e.
 	// only for winners whose final connection forms (see arb.RoundRobin's
 	// pointer-semantics audit comment).
-	newLocal := func() arb.BitArbiter {
+	newLocal := func() arb.Arbiter {
 		if cfg.Scheme == topo.ISLIP1 {
 			return arb.NewRoundRobin(ports)
 		}
@@ -332,7 +332,7 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 
 	// Phase 1b: local-switch arbitration.
 	for o := range s.intermReq {
-		s.intermWin[o] = s.interArb[o].GrantBits(s.intermReq[o])
+		s.intermWin[o] = s.interArb[o].Grant(s.intermReq[o])
 	}
 	if cfg.Alloc == topo.PriorityBased {
 		// Channels to a destination fill in priority order: each channel's
@@ -349,7 +349,7 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 					if s.chBusy[cid] || s.chFailed[cid] {
 						continue
 					}
-					w := s.chArb[cid].GrantBits(remaining)
+					w := s.chArb[cid].Grant(remaining)
 					if w < 0 {
 						break
 					}
@@ -362,7 +362,7 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 		}
 	} else {
 		for c := range s.chReq {
-			s.chWin[c] = s.chArb[c].GrantBits(s.chReq[c])
+			s.chWin[c] = s.chArb[c].Grant(s.chReq[c])
 		}
 	}
 
@@ -414,11 +414,11 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 		var win int
 		switch sb.scheme {
 		case topo.WLRG:
-			win = sb.wlrg.GrantBits(lineReq)
+			win = sb.wlrg.Grant(lineReq)
 		case topo.CLRG:
-			win = sb.clrg.GrantBits(lineReq, lineInput)
+			win = sb.clrg.Grant(lineReq, lineInput)
 		default:
-			win = sb.plain.GrantBits(lineReq)
+			win = sb.plain.Grant(lineReq)
 		}
 		if s.audit != nil {
 			// Class-less schemes audit here, one observation per

@@ -88,6 +88,17 @@ func TestArbitrateZeroAllocsWithFaults(t *testing.T) {
 	}
 }
 
+// TestNewAllocs pins the constructor's allocation count: fabric builds
+// one switch per router, so these scale with network size. New(64)
+// makes 8: the switch, the LRG structs and their order and pos slabs,
+// the arbiter slice, the request-mask headers, the mask words slab and
+// the connection-map slab.
+func TestNewAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(20, func() { New(64) }); got != 8 {
+		t.Errorf("New(64) allocated %v times, want 8", got)
+	}
+}
+
 func benchArbitrate(b *testing.B, radix int) {
 	sw := New(radix)
 	src := prng.New(7)

@@ -25,13 +25,11 @@ import (
 type Switch struct {
 	n       int
 	arbs    []arb.Arbiter
-	bitArbs []arb.BitArbiter // bitArbs[o] non-nil when arbs[o] grants bitsets natively
-	held    []int            // held[in] = output held by in, or -1
-	outIn   []int            // outIn[out] = input holding out, or -1
-	reqMask []bitvec.Vec     // per output: request bitset, rebuilt each cycle
-	reqOuts bitvec.Vec       // outputs whose reqMask is non-empty this cycle
-	reqBuf  []bool           // scratch for arbiters without a bitset grant path
-	grants  []topo.Grant     // Arbitrate's return buffer, valid until the next call
+	held    []int        // held[in] = output held by in, or -1
+	outIn   []int        // outIn[out] = input holding out, or -1
+	reqMask []bitvec.Vec // per output: request bitset, rebuilt each cycle
+	reqOuts bitvec.Vec   // outputs whose reqMask is non-empty this cycle
+	grants  []topo.Grant // Arbitrate's return buffer, valid until the next call
 
 	// Runtime fault state, lazily allocated by ensureFaults: failed
 	// inputs and outputs as port bitsets, failed crosspoints as one
@@ -98,7 +96,6 @@ func NewWithArbiters(radix int, arbs []arb.Arbiter) (*Switch, error) {
 	s := &Switch{
 		n:       radix,
 		arbs:    arbs,
-		bitArbs: make([]arb.BitArbiter, radix),
 		reqMask: make([]bitvec.Vec, radix),
 	}
 	// All column request bitsets plus the dirty-column set come from one
@@ -112,20 +109,10 @@ func NewWithArbiters(radix int, arbs []arb.Arbiter) (*Switch, error) {
 	conns := make([]int, 2*radix)
 	s.held = conns[:radix:radix]
 	s.outIn = conns[radix : 2*radix : 2*radix]
-	allBits := true
 	for i := range s.held {
 		s.held[i] = -1
 		s.outIn[i] = -1
 		s.reqMask[i] = bitvec.Vec(slab[i*words : (i+1)*words : (i+1)*words])
-		if ba, ok := arbs[i].(arb.BitArbiter); ok {
-			s.bitArbs[i] = ba
-		} else {
-			allBits = false
-		}
-	}
-	if !allBits {
-		// Bool-scratch only for arbiters without a bitset grant path.
-		s.reqBuf = make([]bool, radix)
 	}
 	return s, nil
 }
@@ -202,13 +189,7 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 			if m.None() {
 				continue // faults emptied the column
 			}
-			var win int
-			if ba := s.bitArbs[out]; ba != nil {
-				win = ba.GrantBits(m)
-			} else {
-				m.FillBools(s.reqBuf)
-				win = s.arbs[out].Grant(s.reqBuf)
-			}
+			win := s.arbs[out].Grant(m)
 			if s.audit != nil {
 				for w2, word2 := range m {
 					for word2 != 0 {

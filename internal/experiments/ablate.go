@@ -267,7 +267,7 @@ func AblateQoS(o Opts) *Table {
 	}
 	arbs := make([]arb.Arbiter, 64)
 	for i := range arbs {
-		arbs[i] = arb.NewQoSArbiter(weights)
+		arbs[i] = arb.NewQoS(weights)
 	}
 	sw, err := crossbar.NewWithArbiters(64, arbs)
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -62,5 +63,30 @@ func TestProgressCalledPerTask(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("Progress never called")
+	}
+}
+
+// TestRunCtxRejectsNegativeWindows: a negative window is an error that
+// names the field and value, returned before any simulation runs (the
+// simulator would panic on it inside a worker).
+func TestRunCtxRejectsNegativeWindows(t *testing.T) {
+	for _, tc := range []struct {
+		warmup, measure int64
+		want            string
+	}{
+		{-5, 0, "warmup -5"},
+		{0, -5, "measure -5"},
+	} {
+		o := QuickOpts()
+		o.Warmup, o.Measure = tc.warmup, tc.measure
+		ran := false
+		o.Progress = func() { ran = true }
+		tb, err := RunCtx(context.Background(), "fig10", o)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("warmup=%d measure=%d: err = %v, want one naming %q", tc.warmup, tc.measure, err, tc.want)
+		}
+		if tb != nil || ran {
+			t.Errorf("warmup=%d measure=%d: the experiment ran", tc.warmup, tc.measure)
+		}
 	}
 }

@@ -116,10 +116,17 @@ func (o Opts) CacheKey() CacheKey {
 // ctx. It is the cancellation-correct entry point: a cancelled ctx makes
 // the runner unwind quickly (skipped sweep points, aborted simulations)
 // and RunCtx then discards the partial table and returns the ctx error.
+// A negative Warmup or Measure is an error before any runner starts.
 func RunCtx(ctx context.Context, id string, o Opts) (*Table, error) {
 	r, err := Get(id)
 	if err != nil {
 		return nil, err
+	}
+	if o.Warmup < 0 {
+		return nil, fmt.Errorf("experiments: warmup %d is negative", o.Warmup)
+	}
+	if o.Measure < 0 {
+		return nil, fmt.Errorf("experiments: measure %d is negative", o.Measure)
 	}
 	if ctx != nil {
 		o.Ctx = ctx

@@ -30,7 +30,8 @@ import (
 )
 
 // Config parameterizes one load-generation run. Zero values select the
-// documented defaults; Targets is required.
+// documented defaults; Targets is required, and a negative Requests,
+// Rate, Keyspace or Radix is an error.
 type Config struct {
 	// Targets are the base URLs of the hirise-served daemons to drive.
 	// Requests round-robin their first attempt across targets and fail
@@ -84,10 +85,21 @@ func (cfg *Config) withDefaults() error {
 	if len(cfg.Targets) == 0 {
 		return errors.New("loadgen: no targets")
 	}
-	if cfg.Requests <= 0 {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"requests", cfg.Requests}, {"keyspace", cfg.Keyspace}, {"radix", cfg.Radix}} {
+		if f.v < 0 {
+			return fmt.Errorf("loadgen: %s %d is negative", f.name, f.v)
+		}
+	}
+	if !(cfg.Rate >= 0) {
+		return fmt.Errorf("loadgen: rate %v is negative or NaN", cfg.Rate)
+	}
+	if cfg.Requests == 0 {
 		cfg.Requests = 100
 	}
-	if cfg.Rate <= 0 {
+	if cfg.Rate == 0 {
 		cfg.Rate = 50
 	}
 	if cfg.Alpha == 0 {
@@ -99,7 +111,7 @@ func (cfg *Config) withDefaults() error {
 	if cfg.BurstCap <= 1 {
 		cfg.BurstCap = 50
 	}
-	if cfg.Keyspace <= 0 {
+	if cfg.Keyspace == 0 {
 		cfg.Keyspace = 16
 	}
 	if cfg.Radix == 0 {

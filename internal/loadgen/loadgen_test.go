@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,6 +47,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Config{Targets: []string{"x"}, Alpha: 0.9}); err == nil {
 		t.Error("Run with alpha <= 1 did not error")
+	}
+	// Zero takes the documented default; a negative value is an error
+	// naming the field, never silently replaced by the default.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"requests", func(c *Config) { c.Requests = -1 }},
+		{"rate", func(c *Config) { c.Rate = -1 }},
+		{"rate", func(c *Config) { c.Rate = math.NaN() }},
+		{"keyspace", func(c *Config) { c.Keyspace = -1 }},
+		{"radix", func(c *Config) { c.Radix = -8 }},
+	} {
+		cfg := Config{Targets: []string{"x"}}
+		tc.mutate(&cfg)
+		if err := cfg.withDefaults(); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.name)
+		}
+	}
+	cfg := Config{Targets: []string{"x"}}
+	if err := cfg.withDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Requests != 100 || cfg.Rate != 50 || cfg.Keyspace != 16 || cfg.Radix != 8 {
+		t.Errorf("zero config defaults: %+v", cfg)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"github.com/reprolab/hirise/internal/core"
 	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/fabric"
-	"github.com/reprolab/hirise/internal/obs"
 	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/traffic"
@@ -86,13 +85,6 @@ func TestLocalTrafficSingleHop(t *testing.T) {
 	res := run(t, config(smallMesh(1, 1, 8, 0), 0.05))
 	if res.AvgHops != 1 {
 		t.Errorf("avg hops %.2f, want exactly 1", res.AvgHops)
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	cfg := config(smallMesh(3, 3, 2, 1), 0.05)
-	if a, b := run(t, cfg), run(t, cfg); a != b {
-		t.Errorf("identical runs diverged: %+v vs %+v", a, b)
 	}
 }
 
@@ -189,50 +181,5 @@ func TestSweepWorkerInvariance(t *testing.T) {
 				t.Fatalf("sweep diverged at %d workers, load %v", workers, loads[i])
 			}
 		}
-	}
-}
-
-// TestConcurrentRecorderOnlyObservers runs networks in parallel whose
-// observers carry a trace recorder but no metrics registry: per-hop
-// histograms must resolve to nothing rather than to shared writable
-// state (run it under -race).
-func TestConcurrentRecorderOnlyObservers(t *testing.T) {
-	loads := []float64{0.05, 0.1, 0.2, 0.3}
-	base := config(smallMesh(3, 3, 2, 1), 0)
-	out, err := fabric.LoadSweepObserved(base, loads, 4, func(int) *obs.Observer {
-		return &obs.Observer{Trace: obs.NewRecorder(256)}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fabric.LoadSweep(base, loads, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, load := range loads {
-		if out[i] != want[i] {
-			t.Fatalf("load %v: recorder-only observer perturbed the run:\n%+v\n%+v", load, out[i], want[i])
-		}
-	}
-}
-
-func TestObsDoesNotPerturbNoc(t *testing.T) {
-	cfg := config(smallMesh(3, 3, 2, 1), 0.05)
-	plain := run(t, cfg)
-	o := &obs.Observer{Metrics: obs.NewRegistry()}
-	cfg.Obs = o
-	if observed := run(t, cfg); plain != observed {
-		t.Fatalf("observer perturbed the run:\n%+v\n%+v", plain, observed)
-	}
-	if o.Counter("fabric.packets.delivered").Value() == 0 {
-		t.Fatal("fabric.packets.delivered counter empty")
-	}
-	if o.Histogram("fabric.latency.cycles", 4, 4096).Count() == 0 {
-		t.Fatal("latency histogram empty")
-	}
-	// 3x3 mesh uniform traffic spans several hop counts; the 2-hop
-	// histogram must exist and hold samples.
-	if o.Histogram("fabric.latency.hops=02", 4, 4096).Count() == 0 {
-		t.Fatal("per-hop-count latency histogram empty")
 	}
 }

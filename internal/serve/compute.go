@@ -67,6 +67,12 @@ type Request struct {
 // normalize validates the request and fills defaults in place, so the
 // struct afterwards is the canonical identity of the computation.
 func (r *Request) normalize() error {
+	if r.Warmup < 0 {
+		return fmt.Errorf("serve: warmup %d is negative", r.Warmup)
+	}
+	if r.Measure < 0 {
+		return fmt.Errorf("serve: measure %d is negative", r.Measure)
+	}
 	switch r.Kind {
 	case "experiment":
 		if _, err := experiments.Get(r.Experiment); err != nil {

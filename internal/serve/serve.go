@@ -46,10 +46,12 @@ type Config struct {
 	// but loses the cache on restart.
 	Store *store.Store
 	// QueueDepth bounds the number of accepted-but-not-finished jobs;
-	// submissions beyond it get 429 (default 64).
+	// submissions beyond it get 429 (0 selects 64; negative is an
+	// error).
 	QueueDepth int
-	// Workers is the number of jobs executed concurrently (default 1 —
-	// each job already parallelizes internally via SimWorkers).
+	// Workers is the number of jobs executed concurrently (0 selects 1 —
+	// each job already parallelizes internally via SimWorkers; negative
+	// is an error).
 	Workers int
 	// SimWorkers bounds the per-job simulation parallelism, like the
 	// CLIs' -parallel flag (0 selects all CPUs).
@@ -148,6 +150,12 @@ type Server struct {
 
 // New starts a Server's worker pool and returns it.
 func New(cfg Config) (*Server, error) {
+	if cfg.QueueDepth < 0 {
+		return nil, fmt.Errorf("serve: queue depth %d is negative", cfg.QueueDepth)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("serve: workers %d is negative", cfg.Workers)
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
 		return nil, errors.New("serve: Config.Store is required")

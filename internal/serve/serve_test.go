@@ -321,6 +321,9 @@ func TestBadRequests(t *testing.T) {
 		`{"kind":"loadsweep","design":"2d","radix":8,"flits":4294967297,"loads":[0.1]}`,
 		`{"kind":"loadsweep","design":"2d","radix":8,"warmup":-1,"loads":[0.1]}`,
 		`{"kind":"loadsweep","design":"2d","radix":8,"measure":-1,"loads":[0.1]}`,
+		// Experiment windows the simulator would panic on in a worker.
+		`{"kind":"experiment","experiment":"fig10","quick":true,"warmup":-5}`,
+		`{"kind":"experiment","experiment":"fig10","quick":true,"measure":-5}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -333,8 +336,48 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 	// The server is still serving.
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after bad requests: HTTP %d", resp.StatusCode)
+	}
 	st := submit(t, ts, quickSweep())
 	waitState(t, ts, st.ID, "done", func(s serve.Status) bool { return s.State == serve.Done })
+}
+
+// TestNewRejectsNegativeSizes: a negative queue depth or worker count is
+// a configuration error (it used to panic in make and in the worker
+// WaitGroup); zero keeps the documented default.
+func TestNewRejectsNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		queue, worker int
+		ok            bool
+	}{
+		{"defaults", 0, 0, true},
+		{"negative queue", -1, 1, false},
+		{"negative workers", 1, -1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := store.Open("", store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := serve.New(serve.Config{Store: st, QueueDepth: tc.queue, Workers: tc.worker})
+			if (err == nil) != tc.ok {
+				t.Fatalf("err = %v, want ok=%v", err, tc.ok)
+			}
+			if s != nil {
+				if err := s.Drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestEventStream: the NDJSON stream carries the job's lifecycle in

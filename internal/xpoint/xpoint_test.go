@@ -62,15 +62,13 @@ func TestColumnMatchesBehaviouralLRG(t *testing.T) {
 		src := prng.New(seed)
 		n := 2 + src.Intn(15)
 		col, ref := NewColumn(n), arb.NewLRG(n)
-		r := make([]bool, n)
 		rv := bitvec.New(n)
 		for step := 0; step < 400; step++ {
-			for i := range r {
-				r[i] = src.Bernoulli(0.4)
+			for i := 0; i < n; i++ {
+				rv.SetTo(i, src.Bernoulli(0.4))
 			}
-			rv.FromBools(r)
 			a := col.Arbitrate(rv)
-			b := ref.Grant(r)
+			b := ref.Grant(rv)
 			if a != b {
 				return false
 			}
@@ -120,18 +118,16 @@ func TestCLRGColumnMatchesBehaviouralCLRG(t *testing.T) {
 		classes := 2 + src.Intn(3)
 		col := NewCLRGColumn(lines, inputs, classes)
 		ref := arb.NewCLRG(lines, inputs, classes)
-		r := make([]bool, lines)
 		rv := bitvec.New(lines)
 		inputOf := make([]int, lines)
 		for step := 0; step < 400; step++ {
-			for i := range r {
-				r[i] = src.Bernoulli(0.5)
+			for i := range inputOf {
+				rv.SetTo(i, src.Bernoulli(0.5))
 				// Each line presents one of its binned inputs.
 				inputOf[i] = (i + lines*src.Intn(inputs/lines)) % inputs
 			}
-			rv.FromBools(r)
 			a := col.Arbitrate(rv, inputOf)
-			b := ref.Grant(r, inputOf)
+			b := ref.Grant(rv, inputOf)
 			if a != b {
 				return false
 			}
