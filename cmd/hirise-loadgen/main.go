@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"github.com/reprolab/hirise/internal/loadgen"
+	"github.com/reprolab/hirise/internal/spec"
 )
 
 func main() {
@@ -104,9 +105,10 @@ func main() {
 	}
 }
 
-// checkFlags rejects workload sizes that must be positive. loadgen.Config
-// reads zero as "use the default", which on the command line would
-// silently replace what the user typed.
+// checkFlags rejects workload sizes that must be positive, and a radix
+// no server accepts. loadgen.Config reads zero as "use the default",
+// which on the command line would silently replace what the user typed;
+// a radix above spec.MaxRadix would send requests that all fail.
 func checkFlags(requests int, rate float64, keyspace, radix int) error {
 	for _, f := range []struct {
 		name string
@@ -115,6 +117,9 @@ func checkFlags(requests int, rate float64, keyspace, radix int) error {
 		if f.v <= 0 {
 			return fmt.Errorf("-%s %d must be positive", f.name, f.v)
 		}
+	}
+	if radix > spec.MaxRadix {
+		return fmt.Errorf("-radix %d is above the largest radix %d", radix, spec.MaxRadix)
 	}
 	if !(rate > 0) {
 		return fmt.Errorf("-rate %v must be positive", rate)

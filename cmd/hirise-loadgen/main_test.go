@@ -23,6 +23,7 @@ func TestCheckFlags(t *testing.T) {
 		{100, 0, 8, 50, "-keyspace 0"},
 		{100, 16, 0, 50, "-radix 0"},
 		{100, 16, -8, 50, "-radix -8"},
+		{100, 16, 100000, 50, "-radix 100000"},
 	} {
 		err := checkFlags(tc.requests, tc.rate, tc.keyspace, tc.radix)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

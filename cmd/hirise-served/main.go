@@ -107,6 +107,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hirise-served: unexpected arguments %q\n", flag.Args())
 		os.Exit(2)
 	}
+	// serve.New rejects these too, but only after the store is open and
+	// the cluster started; checking here exits before either exists.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"queue", *queue}, {"workers", *workers}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "hirise-served: -%s %d must not be negative\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 
 	st, err := store.Open(*storeDir, store.Options{})
 	if err != nil {

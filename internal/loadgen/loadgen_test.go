@@ -146,14 +146,17 @@ func TestRunSingleNode(t *testing.T) {
 // TestRunOverloadHonors429 pushes a burst far above a QueueDepth-1
 // daemon's intake: the generator must absorb the 429s by honoring
 // Retry-After and still land every request in a terminal state — the
-// bounded-queue contract seen from the client side.
+// bounded-queue contract seen from the client side. The whole burst
+// arrives within about 0.6 ms, less than one radix-128 job takes to
+// compute, so the queue overflows however fast the server turns a job
+// around.
 func TestRunOverloadHonors429(t *testing.T) {
 	leakcheck.Check(t)
 	ts := startServeNode(t, serve.Config{Workers: 1, QueueDepth: 1})
 
 	rep, err := Run(context.Background(), Config{
 		Targets:  []string{ts.URL},
-		Requests: 12, Rate: 2000, Keyspace: 12, Seed: 5,
+		Requests: 12, Rate: 20000, Keyspace: 12, Radix: 128, Seed: 5,
 		RequestTimeout: 60 * time.Second, PollInterval: 5 * time.Millisecond,
 		TelemetryWindow: -1,
 	})

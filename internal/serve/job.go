@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,6 +60,7 @@ type Event struct {
 // job is one submitted computation.
 type job struct {
 	id  string
+	seq int // submission order; id is its printed form
 	req Request
 	key store.Key
 
@@ -92,10 +94,11 @@ type job struct {
 	finished time.Time
 }
 
-func newJob(id string, req Request, key store.Key, parent context.Context) *job {
+func newJob(seq int, req Request, key store.Key, parent context.Context) *job {
 	ctx, cancel := context.WithCancel(parent)
 	j := &job{
-		id:      id,
+		id:      fmt.Sprintf("j%06d", seq),
+		seq:     seq,
 		req:     req,
 		key:     key,
 		ctx:     ctx,
@@ -125,6 +128,10 @@ func (j *job) appendEventLocked(e Event) {
 func (j *job) transition(state State, e Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.transitionLocked(state, e)
+}
+
+func (j *job) transitionLocked(state State, e Event) {
 	if j.state.Terminal() {
 		return
 	}
@@ -138,29 +145,36 @@ func (j *job) transition(state State, e Event) {
 	j.appendEventLocked(e)
 }
 
-// finish records a terminal result. cancelled wins over timedOut: a
+// finish records a terminal result and reports whether this call
+// settled the job: false when it was already terminal (a worker
+// reaching a job that a DELETE settled while it was queued), so each
+// job is counted and joins the server's finished list once. cancelled wins over timedOut: a
 // client DELETE that races the deadline reports what the client asked
-// for.
-func (j *job) finish(result []byte, cacheHit bool, err error, cancelled, timedOut bool) {
-	j.mu.Lock()
-	terminal := j.state.Terminal()
-	if !terminal {
-		j.result, j.cacheHit, j.err = result, cacheHit, err
-	}
-	j.mu.Unlock()
-	if terminal {
-		return
-	}
+// for. Settling releases the job's context, which would otherwise stay
+// registered with the server's base context for the life of the
+// process.
+func (j *job) finish(result []byte, cacheHit bool, err error, cancelled, timedOut bool) bool {
+	var state State
+	var e Event
 	switch {
 	case cancelled:
-		j.transition(Cancelled, Event{Event: "cancelled"})
+		state, e = Cancelled, Event{Event: "cancelled"}
 	case timedOut:
-		j.transition(Timeout, Event{Event: "timeout", Error: err.Error()})
+		state, e = Timeout, Event{Event: "timeout", Error: err.Error()}
 	case err != nil:
-		j.transition(Failed, Event{Event: "failed", Error: err.Error()})
+		state, e = Failed, Event{Event: "failed", Error: err.Error()}
 	default:
-		j.transition(Done, Event{Event: "done", CacheHit: cacheHit})
+		state, e = Done, Event{Event: "done", CacheHit: cacheHit}
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return false
+	}
+	j.result, j.cacheHit, j.err = result, cacheHit, err
+	j.transitionLocked(state, e)
+	j.cancel()
+	return true
 }
 
 // setSource records the result's provenance; called from inside the

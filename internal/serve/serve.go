@@ -4,7 +4,7 @@
 // one-shot runs into shared, cacheable, cancellable jobs:
 //
 //	POST   /jobs              submit an experiment or load sweep (429 under backpressure)
-//	GET    /jobs              list jobs
+//	GET    /jobs              list retained jobs in submission order
 //	GET    /jobs/{id}         job status (state, cache_hit, progress, result key)
 //	GET    /jobs/{id}/result  the result body once done
 //	GET    /jobs/{id}/events  NDJSON lifecycle + progress stream, live until terminal
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -105,6 +106,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxFinishedJobs bounds how many finished jobs a Server keeps for
+// GET /jobs and GET /jobs/{id}: once more have finished, the oldest
+// finished ones are evicted and their ids answer 404. Queued and
+// running jobs are never evicted, and an evicted job's result stays in
+// the store, so resubmitting its request is a cache hit.
+const maxFinishedJobs = 4096
+
 // Server is the job service. Create with New, expose via Handler, stop
 // with Drain.
 type Server struct {
@@ -114,12 +122,16 @@ type Server struct {
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // submission order, for GET /jobs
-	queue    chan *job
-	draining bool
-	seq      int
+	mu   sync.Mutex
+	jobs map[string]*job
+	// finished lists the retained finished jobs' ids, oldest first: the
+	// eviction order. At most maxFinished of them are kept
+	// (maxFinishedJobs outside tests).
+	finished    []string
+	maxFinished int
+	queue       chan *job
+	draining    bool
+	seq         int
 
 	running atomic.Int64
 	workers sync.WaitGroup
@@ -167,6 +179,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:     ctx,
 		cancelBase:  cancel,
 		jobs:        map[string]*job{},
+		maxFinished: maxFinishedJobs,
 		queue:       make(chan *job, cfg.QueueDepth),
 		jobStats:    obs.NewRegistry(),
 		retryJitter: prng.New(cfg.RetryJitterSeed),
@@ -192,9 +205,10 @@ func (s *Server) worker() {
 // run executes one job through the store.
 func (s *Server) run(j *job) {
 	if j.ctx.Err() != nil {
-		// Cancelled while queued.
-		j.finish(nil, false, j.ctx.Err(), true, false)
-		s.cancelled.Add(1)
+		// Cancelled while queued; handleCancel has usually settled it.
+		if s.settle(j, nil, false, j.ctx.Err(), true, false) {
+			s.cancelled.Add(1)
+		}
 		return
 	}
 	s.running.Add(1)
@@ -239,7 +253,9 @@ func (s *Server) run(j *job) {
 	// Timeout: the per-job deadline fired and the run errored, but the
 	// job itself was never cancelled by a client or a drain.
 	timedOut := err != nil && ctx.Err() != nil && j.ctx.Err() == nil
-	j.finish(data, hit, err, cancelled, timedOut)
+	if !s.settle(j, data, hit, err, cancelled, timedOut) {
+		return
+	}
 	switch {
 	case cancelled:
 		s.cancelled.Add(1)
@@ -250,6 +266,26 @@ func (s *Server) run(j *job) {
 	default:
 		s.completed.Add(1)
 	}
+}
+
+// settle records j's terminal result (see job.finish) and reports
+// whether this call settled it. A job that settles joins the finished
+// list, and the oldest finished jobs past maxFinished leave the job
+// table, all under s.mu: no client sees the new terminal state while a
+// job it evicts is still listed. Only settled jobs reach the list, so
+// queued and running jobs are never evicted.
+func (s *Server) settle(j *job, result []byte, cacheHit bool, err error, cancelled, timedOut bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !j.finish(result, cacheHit, err, cancelled, timedOut) {
+		return false
+	}
+	s.finished = append(s.finished, j.id)
+	for len(s.finished) > s.maxFinished {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	return true
 }
 
 // Drain stops the server gracefully: new submissions are rejected
@@ -340,14 +376,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	j := newJob(fmt.Sprintf("j%06d", s.seq), req, key, s.baseCtx)
+	j := newJob(s.seq, req, key, s.baseCtx)
 	if req.Kind == "loadsweep" {
 		j.total = len(req.Loads)
 	}
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
 	default:
 		s.seq-- // job was never admitted
 		retryAfter := s.retryAfterLocked()
@@ -443,20 +478,28 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 	s.mu.Lock()
 	j := s.jobs[r.PathValue("id")]
+	bound := s.maxFinished
 	s.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+		writeError(w, http.StatusNotFound, "no such job %q (finished jobs are evicted once more than %d have finished)",
+			r.PathValue("id"), bound)
 	}
 	return j
 }
 
+// handleList serves GET /jobs: every retained job in submission order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	out := make([]Status, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].status())
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *job) int { return a.seq - b.seq })
+	out := make([]Status, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.status()
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -571,8 +614,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// The worker may not reach this job for a while; settle its
 		// state now so clients see the cancellation immediately. run()
 		// still observes the cancelled ctx and skips it.
-		j.finish(nil, false, context.Canceled, true, false)
-		s.cancelled.Add(1)
+		if s.settle(j, nil, false, context.Canceled, true, false) {
+			s.cancelled.Add(1)
+		}
 	}
 	writeJSON(w, http.StatusOK, j.status())
 }
@@ -635,32 +679,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // startClusterTelemetry attaches a windowed sampler to the cluster's
-// counters and starts its ticker goroutine on the TelemetryWindow
-// cadence. Stopped by Drain.
+// counters and starts its window timer on the TelemetryWindow cadence.
+// Stopped by Drain.
 func (s *Server) startClusterTelemetry() {
 	jt := &jobTelemetry{interval: s.cfg.TelemetryWindow, samp: tele.NewSampler(1, tele.DefaultMaxWindows)}
 	s.cfg.Cluster.Sample(jt.samp)
-	done := make(chan struct{})
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		ticker := time.NewTicker(jt.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				jt.tick()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
 	s.clusterTele = jt
-	s.stopClusterTele = func() {
-		once.Do(func() {
-			close(done)
-			<-stopped
-		})
-	}
+	s.stopClusterTele = jt.start()
 }

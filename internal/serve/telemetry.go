@@ -10,16 +10,19 @@ import (
 
 // jobTelemetry samples a running job's progress into a tele.Sampler at
 // a fixed wall-clock cadence. Simulator samplers are single-writer per
-// run; here the writer is the job's ticker goroutine while HTTP
-// handlers read concurrently, so every access goes through mu. Each
-// ticker fire closes one window (window length 1 tick), and the
-// sampler's decimation bounds memory for arbitrarily long jobs.
+// run; here the writer is the job's timer callback while HTTP handlers
+// read concurrently, so every access goes through mu. Each timer fire
+// closes one window (window length 1 tick) and re-arms the timer for
+// the next, and the sampler's decimation bounds memory for arbitrarily
+// long jobs.
 type jobTelemetry struct {
 	interval time.Duration
 
 	mu    sync.Mutex
 	samp  *tele.Sampler
 	ticks int64
+	// timer fires at the end of each window; nil once sampling stopped.
+	timer *time.Timer
 }
 
 // newJobTelemetry builds the sampler for one job with its two standard
@@ -32,12 +35,39 @@ func newJobTelemetry(j *job, interval time.Duration) *jobTelemetry {
 	return &jobTelemetry{interval: interval, samp: s}
 }
 
-// tick closes one sampling window.
+// start arms the first window's timer and returns stop. No goroutine
+// exists between fires: the runtime runs tick on its own when the
+// timer expires.
+func (t *jobTelemetry) start() (stop func()) {
+	// Holding mu keeps a first fire from finding timer still nil.
+	t.mu.Lock()
+	t.timer = time.AfterFunc(t.interval, t.tick)
+	t.mu.Unlock()
+	return t.stop
+}
+
+// stop ends sampling: once it returns, no further window closes. A fire
+// already waiting on mu finds the timer gone and returns. The sampler
+// stays readable for post-mortem queries. Idempotent.
+func (t *jobTelemetry) stop() {
+	t.mu.Lock()
+	if t.timer != nil {
+		t.timer.Stop()
+		t.timer = nil
+	}
+	t.mu.Unlock()
+}
+
+// tick closes one sampling window and re-arms the timer for the next.
 func (t *jobTelemetry) tick() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.timer == nil {
+		return
+	}
 	t.ticks++
 	t.samp.Tick(t.ticks)
-	t.mu.Unlock()
+	t.timer.Reset(t.interval)
 }
 
 // latest returns the closed-window count and the most recent window's
@@ -99,10 +129,9 @@ func (t *jobTelemetry) snapshot(id string, state State) TelemetrySnapshot {
 	return snap
 }
 
-// startTelemetry attaches a sampler to the job and starts its ticker
-// goroutine. The returned stop function halts the ticker and waits for
-// the goroutine to exit (so Drain + leakcheck see it gone); the sampler
-// itself stays readable after stop for post-mortem queries.
+// startTelemetry attaches a sampler to the job and starts its window
+// timer. The returned stop function halts the timer; the sampler itself
+// stays readable after stop for post-mortem queries.
 func (s *Server) startTelemetry(j *job) (stop func()) {
 	if s.cfg.TelemetryWindow < 0 {
 		return func() {}
@@ -111,25 +140,7 @@ func (s *Server) startTelemetry(j *job) (stop func()) {
 	j.mu.Lock()
 	j.tele = jt
 	j.mu.Unlock()
-	done := make(chan struct{})
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		ticker := time.NewTicker(jt.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				jt.tick()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-stopped
-	}
+	return jt.start()
 }
 
 // handleTelemetry serves GET /jobs/{id}/telemetry: the job's live (or

@@ -74,7 +74,7 @@ type track struct {
 	cfn  func() int64   // KindCounter source
 	gfn  func() float64 // KindGauge source
 	last int64          // counter value at the previous window close
-	vals []float64      // one sample per stored window, capacity maxW
+	vals []float64      // one sample per stored window; made, capacity maxW, at the first close
 }
 
 // Series is an exported snapshot of one track, as produced by
@@ -125,8 +125,10 @@ func NewSampler(windowCycles int64, maxWindows int) *Sampler {
 	}
 }
 
+// register adds a series without sample storage: closeWindow
+// allocates a series' buffer when its first window closes, so a
+// sampler whose run ends inside its first window holds no samples.
 func (s *Sampler) register(t *track) *track {
-	t.vals = make([]float64, 0, s.maxW)
 	s.tracks = append(s.tracks, t)
 	s.byName[t.name] = t
 	return t
@@ -187,6 +189,9 @@ func (s *Sampler) closeWindow() {
 			t.last = cur
 		case KindGauge:
 			v = t.gfn()
+		}
+		if t.vals == nil {
+			t.vals = make([]float64, 0, s.maxW)
 		}
 		t.vals = append(t.vals, v)
 	}
@@ -255,7 +260,7 @@ func (s *Sampler) Values(name string) []float64 {
 	if !ok {
 		return nil
 	}
-	return t.vals
+	return t.samples()
 }
 
 // Series returns snapshots of every registered series in registration
@@ -267,9 +272,20 @@ func (s *Sampler) Series() []Series {
 	}
 	out := make([]Series, len(s.tracks))
 	for i, t := range s.tracks {
-		out[i] = Series{Name: t.name, Kind: t.kind, Window: s.window, Values: t.vals}
+		out[i] = Series{Name: t.name, Kind: t.kind, Window: s.window, Values: t.samples()}
 	}
 	return out
+}
+
+// noSamples is what a series reports before its first window closes:
+// empty but not nil, so it encodes as JSON [] rather than null.
+var noSamples = []float64{}
+
+func (t *track) samples() []float64 {
+	if t.vals == nil {
+		return noSamples
+	}
+	return t.vals
 }
 
 // MSER computes the Marginal Standard Error Rule truncation point of

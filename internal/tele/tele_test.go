@@ -2,7 +2,9 @@ package tele
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -199,6 +201,78 @@ func TestEnabledSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("enabled steady-state path allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// TestLazySampleStorage: a series gets its sample buffer when its first
+// window closes. Before that it holds none, yet Values, Series and the
+// NDJSON export read as they do for an allocated, empty buffer.
+func TestLazySampleStorage(t *testing.T) {
+	s := NewSampler(0, 0)
+	c := counter(s, "a")
+	s.GaugeFunc("b", func() float64 { return 2.5 })
+	*c += 3
+	drive(s, DefaultWindowCycles-1)
+	for _, tr := range s.tracks {
+		if tr.vals != nil {
+			t.Fatalf("series %q holds %d-sample storage before any window closed", tr.name, cap(tr.vals))
+		}
+	}
+	check := func(wantJSON, wantNDJSON string) {
+		t.Helper()
+		if v := s.Values("a"); v == nil || len(v) != s.Windows() {
+			t.Fatalf("Values(a) = %#v with %d windows", v, s.Windows())
+		}
+		js, err := json.Marshal(s.Series())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(js) != wantJSON {
+			t.Fatalf("Series JSON:\n got %s\nwant %s", js, wantJSON)
+		}
+		var buf bytes.Buffer
+		if err := WriteNDJSON(&buf, []*Sampler{s}); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != wantNDJSON {
+			t.Fatalf("NDJSON:\n got %s\nwant %s", buf.String(), wantNDJSON)
+		}
+	}
+	check(`[{"Name":"a","Kind":0,"Window":256,"Values":[]},{"Name":"b","Kind":1,"Window":256,"Values":[]}]`,
+		`{"run":0,"series":"a","kind":"counter","window":256,"samples":0,"values":[]}`+"\n"+
+			`{"run":0,"series":"b","kind":"gauge","window":256,"samples":0,"values":[]}`+"\n")
+
+	s.Tick(DefaultWindowCycles)
+	for _, tr := range s.tracks {
+		if cap(tr.vals) != DefaultMaxWindows {
+			t.Fatalf("series %q buffer capacity %d after the first window, want %d", tr.name, cap(tr.vals), DefaultMaxWindows)
+		}
+	}
+	check(`[{"Name":"a","Kind":0,"Window":256,"Values":[3]},{"Name":"b","Kind":1,"Window":256,"Values":[2.5]}]`,
+		`{"run":0,"series":"a","kind":"counter","window":256,"samples":1,"values":[3]}`+"\n"+
+			`{"run":0,"series":"b","kind":"gauge","window":256,"samples":1,"values":[2.5]}`+"\n")
+}
+
+// TestIdleSamplerBytes: a sampler that closes no window costs less than
+// one series' sample buffer, whatever its bound. A job server builds
+// one per job, and most jobs end inside their first window.
+func TestIdleSamplerBytes(t *testing.T) {
+	const n = 200
+	keep := make([]*Sampler, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		s := NewSampler(1, DefaultMaxWindows)
+		s.CounterFunc("done", func() int64 { return 0 })
+		s.GaugeFunc("level", func() float64 { return 0 })
+		keep[i] = s
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	if per >= 8*DefaultMaxWindows {
+		t.Fatalf("an idle two-series sampler allocates %d B, want under one %d B sample buffer",
+			per, 8*DefaultMaxWindows)
+	}
+	runtime.KeepAlive(keep)
 }
 
 // TestCounterFunc: counter series sample the source's per-window
