@@ -186,10 +186,12 @@ func (fc fabricCLI) runSweep(ctx context.Context, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	results, err := observedSweep(fc.common, func() string {
+	results, err := observedSweep(ctx, fc.common, base.Seed, func() string {
 		return fmt.Sprintf("%d sweep points in flight", len(fc.loads))
-	}, func(obsFor func(int) *hirise.Observer) ([]hirise.FabricResult, error) {
-		return hirise.FabricLoadSweepObserved(base, fc.loads, fc.workers, obsFor)
+	}, func(i int, seed uint64, o *hirise.Observer) (hirise.FabricResult, error) {
+		c := base
+		c.Load, c.Seed, c.Obs = fc.loads[i], seed, o
+		return hirise.SimulateFabric(c)
 	})
 	if err != nil {
 		return err

@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"github.com/reprolab/hirise"
+	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/spec"
 	"github.com/reprolab/hirise/internal/store"
 )
@@ -363,10 +364,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			started.Add(1)
 			return makeSwitch()
 		}
-		results, err := observedSweep(cm, func() string {
+		base := simConfig(ctx)
+		results, err := observedSweep(ctx, cm, base.Seed, func() string {
 			return fmt.Sprintf("%d/%d sweep points started", started.Load(), len(loads))
-		}, func(obsFor func(int) *hirise.Observer) ([]hirise.SimResult, error) {
-			return hirise.LoadSweepObserved(simConfig(ctx), countedMakeSwitch, makeTraffic, loads, *workers, obsFor)
+		}, func(i int, seed uint64, o *hirise.Observer) (hirise.SimResult, error) {
+			c := base
+			c.Switch, c.Traffic = countedMakeSwitch(), makeTraffic()
+			c.Load, c.Seed, c.Obs = loads[i], seed, o
+			return hirise.Simulate(c)
 		})
 		if err != nil {
 			return err
@@ -615,22 +620,21 @@ func observed[R any](c common, run func(*hirise.Observer) (R, error)) (R, *hiris
 	return res, o, err
 }
 
-// observedSweep runs a sweep under the heartbeat with one observer per
-// point when any obs flag is set, then writes the side files.
-func observedSweep[R any](c common, progress func() string, run func(obsFor func(i int) *hirise.Observer) ([]R, error)) ([]R, error) {
-	var observers []*hirise.Observer
-	var obsFor func(i int) *hirise.Observer
-	if c.newObserver() != nil {
-		observers = make([]*hirise.Observer, len(c.loads))
-		for i := range observers {
-			observers[i] = c.newObserver()
-		}
-		obsFor = func(i int) *hirise.Observer { return observers[i] }
+// observedSweep runs point for every load through pool.Sweep under the
+// heartbeat, then writes the side files. Each point gets its own
+// observer when any obs flag is set and nil otherwise: points run
+// concurrently and obs sinks are single-writer.
+func observedSweep[R any](ctx context.Context, c common, seed uint64, progress func() string, point func(i int, seed uint64, o *hirise.Observer) (R, error)) ([]R, error) {
+	observers := make([]*hirise.Observer, len(c.loads))
+	for i := range observers {
+		observers[i] = c.newObserver()
 	}
 	stopHB := hirise.Heartbeat(c.stderr, c.heartbeat, progress)
-	res, err := run(obsFor)
+	res, err := pool.Sweep(ctx, len(c.loads), c.workers, seed, func(i int, seed uint64) (R, error) {
+		return point(i, seed, observers[i])
+	})
 	stopHB()
-	if err == nil && obsFor != nil {
+	if err == nil && observers[0] != nil {
 		err = c.writeObs(observers, c.loads)
 	}
 	return res, err

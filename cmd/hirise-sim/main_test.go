@@ -49,8 +49,9 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestStdoutGolden pins the report of every single-switch design under
-// every traffic pattern, the VOQ mode under three patterns, and one
-// sweep table of each mode. Later flags override tiny's.
+// every traffic pattern, the VOQ mode under three patterns, one mesh
+// fabric report, and one sweep table of each mode. Later flags override
+// tiny's.
 func TestStdoutGolden(t *testing.T) {
 	type tc struct {
 		name string
@@ -73,6 +74,9 @@ func TestStdoutGolden(t *testing.T) {
 	cases = append(cases,
 		tc{"hirise-sweep", []string{"-design", "hirise", "-sweep", "0.05:0.3:0.05"}},
 		tc{"voq-sweep", []string{"-design", "voq", "-sched", "wavefront", "-sweep", "0.1:0.9:0.4"}},
+		tc{"fabric-single", []string{"-design", "fabric", "-topo", "mesh", "-nodes", "9", "-conc", "2", "-check", "-load", "0.2"}},
+		tc{"fabric-sweep", []string{"-design", "fabric", "-topo", "mesh", "-mesh-w", "3", "-mesh-h", "2", "-conc", "2",
+			"-check", "-sweep", "0.1:0.5:0.2"}},
 	)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -81,6 +85,46 @@ func TestStdoutGolden(t *testing.T) {
 				t.Fatalf("exit %d, stderr %q", code, errw)
 			}
 			checkGolden(t, c.name, out)
+		})
+	}
+}
+
+// TestSweepParallelInvariance: every sweep mode hands each point its
+// own observer, so stdout and the merged -metrics and -trace-jsonl files
+// are byte-identical at -parallel 1 and 4. Run it under -race to see
+// that no two points share a sink.
+func TestSweepParallelInvariance(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"hirise", []string{"-design", "hirise", "-traffic", "bursty", "-sweep", "0.1:0.4:0.1"}},
+		{"voq", []string{"-design", "voq", "-sweep", "0.1:0.9:0.4"}},
+		{"fabric", []string{"-design", "fabric", "-topo", "mesh", "-mesh-w", "3", "-mesh-h", "2", "-conc", "2",
+			"-lanes", "2", "-check", "-sweep", "0.1:0.5:0.2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var got [2]string
+			for k, parallel := range []string{"1", "4"} {
+				dir := t.TempDir()
+				metrics, trace := filepath.Join(dir, "metrics.json"), filepath.Join(dir, "trace.jsonl")
+				args := append(append([]string(nil), tiny...), c.args...)
+				code, out, errw := runCLI(append(args, "-parallel", parallel, "-metrics", metrics, "-trace-jsonl", trace)...)
+				if code != 0 {
+					t.Fatalf("-parallel %s: exit %d, stderr %q", parallel, code, errw)
+				}
+				for _, f := range []string{metrics, trace} {
+					b, err := os.ReadFile(f)
+					if err != nil || len(b) == 0 {
+						t.Fatalf("-parallel %s: %s empty or unreadable: %v", parallel, filepath.Base(f), err)
+					}
+					out += string(b)
+				}
+				got[k] = out
+			}
+			if got[0] != got[1] {
+				t.Error("stdout or side files differ between -parallel 1 and 4")
+			}
 		})
 	}
 }

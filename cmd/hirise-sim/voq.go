@@ -117,10 +117,14 @@ func (v voqCLI) runSweep(ctx context.Context, w io.Writer) error {
 		started.Add(1)
 		return newSched()
 	}
-	results, err := observedSweep(v.common, func() string {
+	base := v.base(ctx)
+	results, err := observedSweep(ctx, v.common, base.Seed, func() string {
 		return fmt.Sprintf("%d/%d sweep points started", started.Load(), len(v.loads))
-	}, func(obsFor func(int) *hirise.Observer) ([]hirise.SimResult, error) {
-		return hirise.VOQLoadSweepObserved(v.base(ctx), countedSched, v.makeTraffic, v.loads, v.workers, obsFor)
+	}, func(i int, seed uint64, o *hirise.Observer) (hirise.SimResult, error) {
+		c := base
+		c.Sched, c.Traffic = countedSched(), v.makeTraffic()
+		c.Load, c.Seed, c.Obs = v.loads[i], seed, o
+		return hirise.SimulateVOQ(c)
 	})
 	if err != nil {
 		return err

@@ -174,19 +174,10 @@ func SaturationThroughput(cfg SimConfig) (float64, error) { return sim.Saturatio
 // newSwitch under a seed derived from (base.Seed, point index), so the
 // results are identical at every worker count. newTraffic, when non-nil,
 // gives each point its own traffic pattern; it is required for stateful
-// patterns such as BurstyTraffic.
+// patterns such as BurstyTraffic. base.Obs is ignored: points run
+// concurrently and an Observer's sinks are single-writer.
 func LoadSweep(base SimConfig, newSwitch func() SimSwitch, newTraffic func() TrafficPattern, loads []float64, workers int) ([]SimResult, error) {
 	return sim.LoadSweep(base, newSwitch, newTraffic, loads, workers)
-}
-
-// LoadSweepObserved is LoadSweep with per-point observability: obsFor,
-// when non-nil, supplies each point its own Observer (points run
-// concurrently and obs sinks are single-writer). Merge the per-point
-// sinks in point order afterwards — WriteTraceJSONL, WriteChromeTrace,
-// and WriteMetricsJSON take the slices — and the serialized output is
-// byte-identical at every worker count.
-func LoadSweepObserved(base SimConfig, newSwitch func() SimSwitch, newTraffic func() TrafficPattern, loads []float64, workers int, obsFor func(i int) *Observer) ([]SimResult, error) {
-	return sim.LoadSweepObserved(base, newSwitch, newTraffic, loads, workers, obsFor)
 }
 
 // VOQ switch mode and the input-queued scheduler zoo (internal/sched):
@@ -234,19 +225,6 @@ func NewScheduler(s Scheme, n, iters int) (Scheduler, error) {
 
 // SimulateVOQ runs one VOQ-mode simulation.
 func SimulateVOQ(cfg VOQSimConfig) (SimResult, error) { return sim.RunVOQ(cfg) }
-
-// VOQLoadSweep is LoadSweep for the VOQ mode: newSched supplies each
-// point a fresh scheduler (schedulers carry pointer state), and results
-// are identical at every worker count.
-func VOQLoadSweep(base VOQSimConfig, newSched func() Scheduler, newTraffic func() TrafficPattern, loads []float64, workers int) ([]SimResult, error) {
-	return sim.VOQLoadSweep(base, newSched, newTraffic, loads, workers)
-}
-
-// VOQLoadSweepObserved is VOQLoadSweep with per-point observability,
-// with the same obsFor contract as LoadSweepObserved.
-func VOQLoadSweepObserved(base VOQSimConfig, newSched func() Scheduler, newTraffic func() TrafficPattern, loads []float64, workers int, obsFor func(i int) *Observer) ([]SimResult, error) {
-	return sim.VOQLoadSweepObserved(base, newSched, newTraffic, loads, workers, obsFor)
-}
 
 // Fault injection & resilience (internal/fault): deterministic seeded
 // fault plans attached via SimConfig.Faults, with the self-checking
@@ -502,19 +480,6 @@ func ParseFabricRouting(s string) (FabricRouting, error) { return fabric.ParseRo
 
 // SimulateFabric runs one multi-switch fabric simulation.
 func SimulateFabric(cfg FabricConfig) (FabricResult, error) { return fabric.Run(cfg) }
-
-// FabricLoadSweep runs the base configuration at each offered load on at
-// most workers concurrent simulations (0 selects all CPUs) and returns
-// results in load order; results are identical at every worker count.
-func FabricLoadSweep(base FabricConfig, loads []float64, workers int) ([]FabricResult, error) {
-	return fabric.LoadSweep(base, loads, workers)
-}
-
-// FabricLoadSweepObserved is FabricLoadSweep with per-point
-// observability, with the same obsFor contract as LoadSweepObserved.
-func FabricLoadSweepObserved(base FabricConfig, loads []float64, workers int, obsFor func(i int) *Observer) ([]FabricResult, error) {
-	return fabric.LoadSweepObserved(base, loads, workers, obsFor)
-}
 
 // Experiments.
 type (

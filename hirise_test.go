@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/hirise"
+	"github.com/reprolab/hirise/internal/pool"
 )
 
 // TestFacadeEndToEnd exercises the public API the way the README's
@@ -210,7 +211,12 @@ func TestFacadeFabric(t *testing.T) {
 		t.Fatalf("router fail-stop severed no flows: %+v", dres)
 	}
 
-	sweep, err := hirise.FabricLoadSweep(base, []float64{0.1, 0.5}, 2)
+	loads := []float64{0.1, 0.5}
+	sweep, err := pool.Sweep(nil, len(loads), 2, base.Seed, func(i int, seed uint64) (hirise.FabricResult, error) {
+		c := base
+		c.Load, c.Seed = loads[i], seed
+		return hirise.SimulateFabric(c)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,13 +34,6 @@ type Config struct {
 	// must be configured with the same set (order does not matter — the
 	// ring is order-independent).
 	Peers []Peer
-	// VirtualNodes is the ring's per-peer point count (0 selects
-	// DefaultVirtualNodes).
-	VirtualNodes int
-	// Siblings bounds how many peers one Fetch consults: the key's home
-	// plus Siblings-1 further ring successors (default 2; capped at the
-	// number of remote peers).
-	Siblings int
 	// AttemptTimeout bounds each individual peer HTTP request
 	// (default 2s).
 	AttemptTimeout time.Duration
@@ -73,9 +66,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Siblings == 0 {
-		c.Siblings = 2
-	}
 	if c.AttemptTimeout == 0 {
 		c.AttemptTimeout = 2 * time.Second
 	}
@@ -187,7 +177,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Self == "" || !selfSeen {
 		return nil, fmt.Errorf("cluster: Config.Self %q must appear in Peers", cfg.Self)
 	}
-	ring, err := NewRing(ids, cfg.VirtualNodes)
+	ring, err := NewRing(ids)
 	if err != nil {
 		return nil, err
 	}
@@ -310,14 +300,19 @@ func (c *Cluster) Fetch(ctx context.Context, key store.Key) (data []byte, from s
 	return nil, "", false
 }
 
-// candidates returns up to Siblings remote peers in the key's ring
+// siblings bounds how many peers one Fetch consults: the key's home
+// plus one further ring successor (fewer when the cluster has fewer
+// remote peers).
+const siblings = 2
+
+// candidates returns up to siblings remote peers in the key's ring
 // preference order.
 func (c *Cluster) candidates(key store.Key) []*peer {
 	var out []*peer
 	for _, id := range c.ring.Order(key) {
 		if p, ok := c.peers[id]; ok {
 			out = append(out, p)
-			if len(out) == c.cfg.Siblings {
+			if len(out) == siblings {
 				break
 			}
 		}

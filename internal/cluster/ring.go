@@ -34,10 +34,10 @@ import (
 	"github.com/reprolab/hirise/internal/store"
 )
 
-// DefaultVirtualNodes is the per-peer virtual-node count of a Ring.
+// virtualNodes is the per-peer virtual-node count of a Ring.
 // 128 points per peer keeps the home-key share of a 3-node cluster
 // within a few percent of 1/3.
-const DefaultVirtualNodes = 128
+const virtualNodes = 128
 
 // Ring is a consistent-hash ring over a static peer membership. It is
 // immutable after construction and safe for concurrent use.
@@ -57,19 +57,15 @@ type ringPoint struct {
 	peer int // index into ids
 }
 
-// NewRing builds a ring over the given peer IDs with vnodes virtual
-// points per peer (0 selects DefaultVirtualNodes). IDs must be unique
-// and non-empty.
-func NewRing(ids []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring over the given peer IDs with virtualNodes
+// points per peer. IDs must be unique and non-empty.
+func NewRing(ids []string) (*Ring, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one peer")
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
 	seen := make(map[string]bool, len(ids))
 	r := &Ring{
-		points: make([]ringPoint, 0, len(ids)*vnodes),
+		points: make([]ringPoint, 0, len(ids)*virtualNodes),
 		ids:    append([]string(nil), ids...),
 	}
 	for pi, id := range ids {
@@ -80,7 +76,7 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate peer ID %q", id)
 		}
 		seen[id] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			sum := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", id, v)))
 			r.points = append(r.points, ringPoint{binary.BigEndian.Uint64(sum[:8]), pi})
 		}

@@ -14,7 +14,7 @@ func testKey(i int) store.Key {
 
 func TestRingValidation(t *testing.T) {
 	for _, ids := range [][]string{nil, {}, {"a", ""}, {"a", "b", "a"}} {
-		if _, err := NewRing(ids, 0); err == nil {
+		if _, err := NewRing(ids); err == nil {
 			t.Errorf("NewRing(%q) succeeded, want error", ids)
 		}
 	}
@@ -24,11 +24,11 @@ func TestRingValidation(t *testing.T) {
 // membership set — every node builds the identical ring no matter how
 // its config file orders the peers.
 func TestRingOrderIndependent(t *testing.T) {
-	a, err := NewRing([]string{"n1", "n2", "n3"}, 0)
+	a, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"n3", "n1", "n2"}, 0)
+	b, err := NewRing([]string{"n3", "n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +44,10 @@ func TestRingOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestRingBalance: with the default virtual-node count, no peer of a
+// TestRingBalance: with the ring's virtual-node count, no peer of a
 // 3-node ring owns a grossly outsized key share.
 func TestRingBalance(t *testing.T) {
-	r, err := NewRing([]string{"n1", "n2", "n3"}, 0)
+	r, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestRingBalance(t *testing.T) {
 // peer owned; every other key keeps its home. This is the property that
 // makes a node restart cheap — the survivors' caches stay valid.
 func TestRingMinimalRemap(t *testing.T) {
-	full, err := NewRing([]string{"n1", "n2", "n3"}, 0)
+	full, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"n1", "n2"}, 0)
+	reduced, err := NewRing([]string{"n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRingMinimalRemap(t *testing.T) {
 // visits every peer exactly once.
 func TestRingOrder(t *testing.T) {
 	ids := []string{"n1", "n2", "n3", "n4"}
-	r, err := NewRing(ids, 0)
+	r, err := NewRing(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -844,41 +844,3 @@ func (n *network) linkBusyCounter(ni, out int) *obs.Counter {
 	}
 	return n.linkBusy[id]
 }
-
-// LoadSweep runs the configuration at each load on at most workers
-// concurrent simulations and returns results in load order. Each point
-// builds a fresh network and derives its seed from (base.Seed, index)
-// via pool.SeedFor, so results are identical at every worker count.
-// The first error by point index wins, mirroring serial execution.
-func LoadSweep(base Config, loads []float64, workers int) ([]Result, error) {
-	return LoadSweepObserved(base, loads, workers, nil)
-}
-
-// LoadSweepObserved is LoadSweep with per-point observability: obsFor,
-// when non-nil, supplies each point its own Observer (points run
-// concurrently and obs sinks are single-writer; base.Obs is ignored).
-// Merging the per-point sinks in point order afterwards keeps the
-// serialized output byte-identical at every worker count.
-func LoadSweepObserved(base Config, loads []float64, workers int, obsFor func(i int) *obs.Observer) ([]Result, error) {
-	out := make([]Result, len(loads))
-	errs := make([]error, len(loads))
-	pool.DoCtx(base.Ctx, len(loads), workers, func(i int) {
-		cfg := base
-		cfg.Load = loads[i]
-		cfg.Seed = pool.SeedFor(base.Seed, uint64(i))
-		cfg.Obs = nil
-		if obsFor != nil {
-			cfg.Obs = obsFor(i)
-		}
-		out[i], errs[i] = Run(cfg)
-	})
-	if base.Ctx != nil && base.Ctx.Err() != nil {
-		return nil, base.Ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -81,23 +81,31 @@ func TestSameSeedReproduces(t *testing.T) {
 }
 
 // TestLoadSweepWorkerInvariance pins the determinism contract: a sweep
-// produces byte-identical results at any worker count.
+// over pool.Sweep produces identical results at any worker count, under
+// minimal routing and under Valiant, whose waypoints are a pure
+// function of the point's seed.
 func TestLoadSweepWorkerInvariance(t *testing.T) {
 	loads := []float64{0.1, 0.4, 0.7, 1.0}
-	for _, tc := range testTopos() {
-		cfg := baseConfig(tc.topo)
-		cfg.Measure = 2000
-		want, err := LoadSweep(cfg, loads, 1)
+	sweep := func(base Config, workers int) []Result {
+		res, err := pool.Sweep(nil, len(loads), workers, base.Seed, func(i int, seed uint64) (Result, error) {
+			cfg := base
+			cfg.Load, cfg.Seed = loads[i], seed
+			return Run(cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 7} {
-			got, err := LoadSweep(cfg, loads, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: workers=%d diverged from serial", tc.name, workers)
+		return res
+	}
+	for _, tc := range testTopos() {
+		for _, r := range []Routing{Minimal, Valiant} {
+			cfg := baseConfig(tc.topo)
+			cfg.Routing, cfg.Measure = r, 2000
+			want := sweep(cfg, 1)
+			for _, workers := range []int{2, 4, 7} {
+				if got := sweep(cfg, workers); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: workers=%d diverged from serial", tc.name, r, workers)
+				}
 			}
 		}
 	}
@@ -153,18 +161,23 @@ func TestLoadSweepObservedRecorderOnly(t *testing.T) {
 	base := baseConfig(Mesh{W: 4, H: 4, Conc: 2, Lanes: 1})
 	base.Warmup, base.Measure = 200, 1000
 	loads := []float64{0.1, 0.2, 0.3, 0.4}
-	want, err := LoadSweep(base, loads, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := make([]*obs.Recorder, len(loads))
-	got, err := LoadSweepObserved(base, loads, 4, func(i int) *obs.Observer {
-		recs[i] = obs.NewRecorder(256)
-		return &obs.Observer{Trace: recs[i]}
-	})
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(workers int, observe bool) []Result {
+		res, err := pool.Sweep(nil, len(loads), workers, base.Seed, func(i int, seed uint64) (Result, error) {
+			cfg := base
+			cfg.Load, cfg.Seed = loads[i], seed
+			if observe {
+				recs[i] = obs.NewRecorder(256)
+				cfg.Obs = &obs.Observer{Trace: recs[i]}
+			}
+			return Run(cfg)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	want, got := sweep(1, false), sweep(4, true)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recorder-only observers perturbed the sweep:\n%+v\n%+v", got, want)
 	}

@@ -77,8 +77,6 @@ type Config struct {
 	// SkipVerify disables the result byte-identity check (a GET
 	// /result + hash per completed job).
 	SkipVerify bool
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 }
 
 func (cfg *Config) withDefaults() error {
@@ -131,9 +129,6 @@ func (cfg *Config) withDefaults() error {
 	}
 	if cfg.TelemetryWindow == 0 {
 		cfg.TelemetryWindow = 250 * time.Millisecond
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
 	}
 	return nil
 }
@@ -238,6 +233,7 @@ type outcome struct {
 // aggregator.
 type gen struct {
 	cfg    Config
+	client *http.Client
 	start  time.Time
 	bodies [][]byte // pre-marshalled spec JSON, one per keyspace slot
 
@@ -273,7 +269,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	g := &gen{cfg: cfg, bodies: make([][]byte, cfg.Keyspace)}
+	g := &gen{cfg: cfg, client: &http.Client{Timeout: 10 * time.Second}, bodies: make([][]byte, cfg.Keyspace)}
 	for k := range g.bodies {
 		b, err := json.Marshal(spec(k, cfg.Radix))
 		if err != nil {
@@ -482,7 +478,7 @@ func (g *gen) submit(ctx context.Context, target, spec int) (serve.Status, int, 
 		return serve.Status{}, 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return serve.Status{}, 0, nil, err
 	}
@@ -503,7 +499,7 @@ func (g *gen) status(ctx context.Context, target int, id string) (serve.Status, 
 	if err != nil {
 		return serve.Status{}, err
 	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return serve.Status{}, err
 	}
@@ -527,7 +523,7 @@ func (g *gen) verify(ctx context.Context, target int, id string, spec int) bool 
 	if err != nil {
 		return true
 	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return true
 	}

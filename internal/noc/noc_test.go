@@ -7,11 +7,15 @@
 package noc
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"github.com/reprolab/hirise/internal/core"
 	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/fabric"
+	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/traffic"
@@ -43,6 +47,53 @@ func run(t *testing.T, cfg fabric.Config) fabric.Result {
 	return res
 }
 
+// hopsClosedForm runs uniform traffic over t and checks the mean hop
+// count against its closed form. A packet's source and destination
+// routers are independent and uniform, and every packet traverses one
+// switch per link hop plus the destination's. On a W×H mesh one
+// dimension's minimal distance |x−x'| averages (W²−1)/(3W) with second
+// moment (W²−1)/6, so the mean is (W²−1)/(3W) + (H²−1)/(3H) + 1. A
+// flattened butterfly takes one hop per differing coordinate, a
+// Bernoulli(1−1/W) step per dimension, so the mean is (1−1/W) + (1−1/H)
+// + 1. The tolerance is five standard errors of the per-packet hop
+// count over the delivered sample, so a 1×1 mesh must average exactly
+// 1. It returns the measured mean.
+func hopsClosedForm(t *testing.T, topo fabric.Topology) float64 {
+	t.Helper()
+	var w, h int
+	var dim func(n int) (mean, variance float64)
+	switch topo := topo.(type) {
+	case fabric.Mesh:
+		w, h = topo.W, topo.H
+		dim = func(n int) (float64, float64) {
+			x := float64(n)
+			mean := (x*x - 1) / (3 * x)
+			return mean, (x*x-1)/6 - mean*mean
+		}
+	case fabric.FlattenedButterfly:
+		w, h = topo.W, topo.H
+		dim = func(n int) (float64, float64) {
+			p := 1 - 1/float64(n)
+			return p, p * (1 - p)
+		}
+	default:
+		t.Fatalf("no closed form for %T", topo)
+	}
+	mx, vx := dim(w)
+	my, vy := dim(h)
+	want := mx + my + 1
+	res := run(t, config(topo, 0.05))
+	if res.Delivered < 1000 {
+		t.Fatalf("%T %dx%d: only %d packets delivered", topo, w, h, res.Delivered)
+	}
+	tol := 5 * math.Sqrt((vx+vy)/float64(res.Delivered))
+	if math.Abs(res.AvgHops-want) > tol {
+		t.Errorf("%T %dx%d: avg hops %.4f over %d packets, want %.4f ± %.4f",
+			topo, w, h, res.AvgHops, res.Delivered, want, tol)
+	}
+	return res.AvgHops
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := config(smallMesh(2, 2, 4, 1), 0.02)
 	bad.NewSwitch = func() sim.Switch { return crossbar.New(5) } // radix 8 needed
@@ -68,31 +119,32 @@ func TestPacketsFlowAcrossMesh(t *testing.T) {
 	}
 }
 
+// TestHopCountMatchesXYRouting: dimension-ordered routing takes the
+// minimal Manhattan path, so the mean hop count is the closed form. On
+// a 4x1 line with one core per node E|dx| = 1.25, so 2.25 hops; lanes
+// do not change path lengths.
 func TestHopCountMatchesXYRouting(t *testing.T) {
-	// Uniform random on a WxH mesh: expected hops = E[manhattan] + 1
-	// (every packet traverses its source node once plus one node per
-	// mesh step). For a 4x1 line with 1 core per node, E|dx| over
-	// uniform src,dst = 1.25.
-	res := run(t, config(smallMesh(4, 1, 1, 1), 0.05))
-	want := 1.25 + 1
-	if res.AvgHops < want-0.25 || res.AvgHops > want+0.25 {
-		t.Errorf("avg hops %.2f, want ~%.2f", res.AvgHops, want)
+	for _, m := range []fabric.Mesh{
+		smallMesh(4, 1, 1, 1),
+		smallMesh(4, 4, 2, 1),
+		smallMesh(5, 3, 2, 2),
+	} {
+		t.Run(fmt.Sprintf("%dx%d", m.W, m.H), func(t *testing.T) { hopsClosedForm(t, m) })
 	}
 }
 
 func TestLocalTrafficSingleHop(t *testing.T) {
 	// A 1x1 mesh is a single switch: every packet takes exactly one hop.
-	res := run(t, config(smallMesh(1, 1, 8, 0), 0.05))
-	if res.AvgHops != 1 {
-		t.Errorf("avg hops %.2f, want exactly 1", res.AvgHops)
+	if got := hopsClosedForm(t, smallMesh(1, 1, 8, 0)); got != 1 {
+		t.Errorf("avg hops %.2f, want exactly 1", got)
 	}
 }
 
 func TestLargerMeshMoreHops(t *testing.T) {
-	rs := run(t, config(smallMesh(2, 2, 2, 1), 0.02))
-	rb := run(t, config(smallMesh(6, 6, 2, 1), 0.02))
-	if rb.AvgHops <= rs.AvgHops {
-		t.Errorf("6x6 hops %.2f not above 2x2 hops %.2f", rb.AvgHops, rs.AvgHops)
+	small := hopsClosedForm(t, smallMesh(2, 2, 2, 1))
+	big := hopsClosedForm(t, smallMesh(6, 6, 2, 1))
+	if big <= small {
+		t.Errorf("6x6 hops %.2f not above 2x2 hops %.2f", big, small)
 	}
 }
 
@@ -163,23 +215,25 @@ func TestSaturationBoundedByCapacity(t *testing.T) {
 
 func TestSweepWorkerInvariance(t *testing.T) {
 	// Kilo-core sweeps parallelize over load points; the lane tie-break
-	// is a pure function of the seed, so results must be identical at
-	// any worker count.
+	// is a pure function of the seed, so a two-lane mesh sweep must be
+	// identical at any worker count.
 	loads := []float64{0.02, 0.05, 0.1, 0.3}
 	base := config(smallMesh(3, 3, 2, 2), 0)
-	want, err := fabric.LoadSweep(base, loads, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		got, err := fabric.LoadSweep(base, loads, workers)
+	sweep := func(workers int) []fabric.Result {
+		res, err := pool.Sweep(nil, len(loads), workers, base.Seed, func(i int, seed uint64) (fabric.Result, error) {
+			cfg := base
+			cfg.Load, cfg.Seed = loads[i], seed
+			return fabric.Run(cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("sweep diverged at %d workers, load %v", workers, loads[i])
-			}
+		return res
+	}
+	want := sweep(1)
+	for _, workers := range []int{2, 4} {
+		if got := sweep(workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sweep diverged at %d workers:\n%+v\n%+v", workers, got, want)
 		}
 	}
 }

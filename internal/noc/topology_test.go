@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/reprolab/hirise/internal/fabric"
@@ -19,14 +20,19 @@ func TestFBflyRadix(t *testing.T) {
 
 // TestFBflyDiameterTwo checks the defining property: every packet
 // reaches its destination in at most 3 switch traversals (row hop,
-// column hop, local delivery at the destination node).
+// column hop, local delivery at the destination node), and the mean
+// matches the closed form.
 func TestFBflyDiameterTwo(t *testing.T) {
-	res := run(t, config(fbfly(4, 4, 2, 1), 0.02))
-	if res.Delivered == 0 {
-		t.Fatal("nothing delivered")
-	}
-	if res.AvgHops > 3.0 {
-		t.Errorf("avg hops %.2f exceeds the flattened butterfly bound", res.AvgHops)
+	for _, f := range []fabric.FlattenedButterfly{
+		fbfly(3, 3, 2, 1),
+		fbfly(4, 4, 2, 1),
+		fbfly(6, 3, 2, 1),
+	} {
+		t.Run(fmt.Sprintf("%dx%d", f.W, f.H), func(t *testing.T) {
+			if got := hopsClosedForm(t, f); got > 3.0 {
+				t.Errorf("avg hops %.2f exceeds the flattened butterfly bound", got)
+			}
+		})
 	}
 }
 
@@ -51,10 +57,10 @@ func TestFBflyRoutesRowFirst(t *testing.T) {
 }
 
 func TestFBflyFewerHopsThanMesh(t *testing.T) {
-	rm := run(t, config(smallMesh(4, 4, 2, 1), 0.02))
-	rf := run(t, config(fbfly(4, 4, 2, 1), 0.02))
-	if rf.AvgHops >= rm.AvgHops {
-		t.Errorf("flattened butterfly hops %.2f not below mesh %.2f", rf.AvgHops, rm.AvgHops)
+	m := hopsClosedForm(t, smallMesh(4, 4, 2, 1))
+	f := hopsClosedForm(t, fbfly(4, 4, 2, 1))
+	if f >= m {
+		t.Errorf("flattened butterfly hops %.2f not below mesh %.2f", f, m)
 	}
 }
 

@@ -126,6 +126,31 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	return out
 }
 
+// Sweep runs point(i, SeedFor(base, uint64(i))) for every i in [0, n)
+// on at most Workers(workers) goroutines and returns the results in
+// index order. It is the one driver behind every load sweep: each point
+// builds its own state (switch, scheduler, traffic, observer) inside
+// point, and its seed comes from the caller's raw base seed and the
+// point index alone, so the results are identical at every worker
+// count. A cancelled ctx (nil never cancels) returns nil and ctx.Err(),
+// discarding whatever points completed; otherwise the lowest-index
+// error wins, as it would in a serial loop.
+func Sweep[R any](ctx context.Context, n, workers int, base uint64, point func(i int, seed uint64) (R, error)) ([]R, error) {
+	out := make([]R, n)
+	errs := make([]error, n)
+	if err := DoCtx(ctx, n, workers, func(i int) {
+		out[i], errs[i] = point(i, SeedFor(base, uint64(i)))
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // splitmix64 is the finalizer of the splitmix64 generator, used here as
 // a mixing function for seed derivation (the same construction
 // internal/prng uses to expand seeds into xoshiro state).

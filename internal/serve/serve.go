@@ -81,10 +81,6 @@ type Config struct {
 	// the stream out and surfacing dead clients to the handler
 	// (default 10s; negative disables heartbeats).
 	HeartbeatInterval time.Duration
-	// RetryJitterSeed seeds the deterministic jitter added to 429
-	// Retry-After hints so synchronized clients spread out instead of
-	// retrying in lockstep (default 1).
-	RetryJitterSeed uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -99,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 10 * time.Second
-	}
-	if c.RetryJitterSeed == 0 {
-		c.RetryJitterSeed = 1
 	}
 	return c
 }
@@ -143,8 +136,10 @@ type Server struct {
 	// what the chaos tests audit to prove nothing is computed twice.
 	computedLocal, peerFetched atomic.Int64
 
-	// retryJitter drives the deterministic Retry-After jitter; guarded
-	// by mu (the 429 path already holds it).
+	// retryJitter drives the deterministic jitter added to 429
+	// Retry-After hints, so synchronized clients spread out instead of
+	// retrying in lockstep. It is seeded with 1; guarded by mu (the 429
+	// path already holds it).
 	retryJitter *prng.Source
 
 	// clusterTele samples the cluster's windowed fetch/breaker tracks
@@ -182,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 		maxFinished: maxFinishedJobs,
 		queue:       make(chan *job, cfg.QueueDepth),
 		jobStats:    obs.NewRegistry(),
-		retryJitter: prng.New(cfg.RetryJitterSeed),
+		retryJitter: prng.New(1),
 	}
 	if cfg.Cluster != nil && cfg.TelemetryWindow > 0 {
 		s.startClusterTelemetry()

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/obs"
+	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/traffic"
 )
@@ -28,10 +30,11 @@ func observedSweep(t *testing.T, workers int) (jsonl, chrome, metrics []byte) {
 		Traffic: traffic.Hotspot{Target: 0},
 		Warmup:  500, Measure: 2000, Seed: 11,
 	}
-	_, err := LoadSweepObserved(base,
-		func() Switch { return hirise(t, 4, topo.CLRG) },
-		nil, loads, workers,
-		func(i int) *obs.Observer { return observers[i] })
+	_, err := pool.Sweep(nil, len(loads), workers, base.Seed, func(i int, seed uint64) (Result, error) {
+		cfg := base
+		cfg.Switch, cfg.Load, cfg.Seed, cfg.Obs = hirise(t, 4, topo.CLRG), loads[i], seed, observers[i]
+		return Run(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,5 +161,34 @@ func TestObservedMetricsConsistent(t *testing.T) {
 	}
 	if rep.TotalWins > rep.TotalRequests {
 		t.Errorf("wins %d > requests %d", rep.TotalWins, rep.TotalRequests)
+	}
+}
+
+// TestLoadSweepIgnoresBaseObs: sweep points run concurrently and obs
+// sinks are single-writer, so LoadSweep hands no point base.Obs. Were
+// the caller's observer shared, the four workers would race on its
+// registry (run under -race) and fill it.
+func TestLoadSweepIgnoresBaseObs(t *testing.T) {
+	loads := []float64{0.1, 0.2, 0.3, 0.4}
+	mk := func() Switch { return crossbar.New(16) }
+	base := Config{Traffic: traffic.Uniform{Radix: 16}, Warmup: 200, Measure: 1000, Seed: 3}
+	want, err := LoadSweep(base, mk, nil, loads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewRecorder(0)}
+	base.Obs = shared
+	got, err := LoadSweep(base, mk, nil, loads, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("base.Obs perturbed the sweep:\n%+v\n%+v", got, want)
+	}
+	if n := shared.Counter("sim.packets.injected").Value(); n != 0 {
+		t.Errorf("shared registry counted %d injections, want 0", n)
+	}
+	if n := len(shared.Rec().Events()); n != 0 {
+		t.Errorf("shared recorder holds %d events, want 0", n)
 	}
 }

@@ -280,55 +280,26 @@ func SaturationThroughput(cfg Config) (float64, error) {
 
 // LoadSweep runs the configuration at each load on at most workers
 // concurrent simulations (0 selects runtime.GOMAXPROCS(0), 1 forces
-// serial) and returns the results in load order. Each point gets a
-// fresh switch from newSwitch to avoid state leakage, and derives its
-// own PRNG seed from (base.Seed, point index) via pool.SeedFor, so the
-// sweep's results are identical at every worker count. newTraffic, when
-// non-nil, supplies each point its own traffic pattern; it must be
-// non-nil for stateful patterns (e.g. traffic.Bursty), which can be
-// shared neither between concurrent points nor across sequential ones.
-// The first error by point index wins, mirroring serial execution.
+// serial) through pool.Sweep and returns the results in load order.
+// Each point gets a fresh switch from newSwitch to avoid state leakage,
+// and its seed from pool.Sweep, so the sweep's results are identical at
+// every worker count. newTraffic, when non-nil, supplies each point its
+// own traffic pattern; it must be non-nil for stateful patterns (e.g.
+// traffic.Bursty), which can be shared neither between concurrent
+// points nor across sequential ones. base.Obs is ignored: points run
+// concurrently and obs sinks are single-writer, so a caller that wants
+// per-point observers calls pool.Sweep with its own point function. A
+// non-nil base.Ctx makes the sweep cancellable: pending points are
+// skipped, in-flight points abort at their next cycle-level check, and
+// the ctx error is returned without partial results.
 func LoadSweep(base Config, newSwitch func() Switch, newTraffic func() Traffic, loads []float64, workers int) ([]Result, error) {
-	return LoadSweepObserved(base, newSwitch, newTraffic, loads, workers, nil)
-}
-
-// LoadSweepObserved is LoadSweep with per-point observability: when
-// obsFor is non-nil it is called once per point, before the point runs,
-// and must return the observer for that point (or nil to leave the
-// point unobserved). Each point needs its own observer because points
-// run concurrently and obs sinks are single-writer; callers merge the
-// per-point sinks in point order afterwards (obs.WriteJSONL and friends
-// take the slice), which keeps every serialized trace byte-identical at
-// any worker count. obsFor itself may be called from worker goroutines
-// and must be safe for concurrent use; returning independent,
-// preallocated observers from a slice is the intended pattern.
-// A non-nil base.Ctx makes the sweep cancellable: pending points are
-// skipped and in-flight points abort at their next cycle-level check, so
-// the whole sweep unwinds within roughly one check interval. The ctx
-// error is returned and any partial results are discarded.
-func LoadSweepObserved(base Config, newSwitch func() Switch, newTraffic func() Traffic, loads []float64, workers int, obsFor func(i int) *obs.Observer) ([]Result, error) {
-	out := make([]Result, len(loads))
-	errs := make([]error, len(loads))
-	pool.DoCtx(base.Ctx, len(loads), workers, func(i int) {
+	base.Obs = nil
+	return pool.Sweep(base.Ctx, len(loads), workers, base.Seed, func(i int, seed uint64) (Result, error) {
 		cfg := base
-		cfg.Switch = newSwitch()
+		cfg.Switch, cfg.Load, cfg.Seed = newSwitch(), loads[i], seed
 		if newTraffic != nil {
 			cfg.Traffic = newTraffic()
 		}
-		if obsFor != nil {
-			cfg.Obs = obsFor(i)
-		}
-		cfg.Load = loads[i]
-		cfg.Seed = pool.SeedFor(base.Seed, uint64(i))
-		out[i], errs[i] = Run(cfg)
+		return Run(cfg)
 	})
-	if base.Ctx != nil && base.Ctx.Err() != nil {
-		return nil, base.Ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

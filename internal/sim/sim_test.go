@@ -109,6 +109,39 @@ func TestChannelMultiplicityOrdersThroughput(t *testing.T) {
 	}
 }
 
+// TestLoadSweepWorkerInvariance pins the determinism contract of
+// LoadSweep: a Hi-Rise switch under stateful bursty traffic, with a
+// fresh switch and traffic source per point, returns identical results
+// at 1, 2 and 4 workers.
+func TestLoadSweepWorkerInvariance(t *testing.T) {
+	loads := []float64{0.05, 0.2, 0.5, 1.0}
+	base := Config{Warmup: 300, Measure: 1500, Seed: 5}
+	newSwitch := func() Switch {
+		sw, err := core.New(topo.Config{
+			Radix: 16, Layers: 4, Channels: 2,
+			Alloc: topo.InputBinned, Scheme: topo.CLRG, Classes: 3,
+		})
+		if err != nil {
+			panic(err)
+		}
+		return sw
+	}
+	newTraffic := func() Traffic { return traffic.NewBursty(16, 4) }
+	want, err := LoadSweep(base, newSwitch, newTraffic, loads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		got, err := LoadSweep(base, newSwitch, newTraffic, loads, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d diverged from serial:\n%+v\n%+v", workers, got, want)
+		}
+	}
+}
+
 func TestLatencyMonotonicInLoad(t *testing.T) {
 	results, err := LoadSweep(
 		Config{Traffic: traffic.Uniform{Radix: 64}, Warmup: 2000, Measure: 10000},

@@ -8,6 +8,7 @@ import (
 
 	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/obs"
+	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/sched"
 	"github.com/reprolab/hirise/internal/tele"
 	"github.com/reprolab/hirise/internal/traffic"
@@ -93,9 +94,11 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 				samps[i] = tele.NewSampler(64, 128)
 				observers[i] = &obs.Observer{Tele: samps[i]}
 			}
-			res, err := LoadSweepObserved(base,
-				func() Switch { return crossbar.New(16) }, nil,
-				loads, workers, func(i int) *obs.Observer { return observers[i] })
+			res, err := pool.Sweep(nil, len(loads), workers, base.Seed, func(i int, seed uint64) (Result, error) {
+				cfg := base
+				cfg.Switch, cfg.Load, cfg.Seed, cfg.Obs = crossbar.New(16), loads[i], seed, observers[i]
+				return Run(cfg)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

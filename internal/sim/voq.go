@@ -6,7 +6,6 @@ import (
 
 	"github.com/reprolab/hirise/internal/bitvec"
 	"github.com/reprolab/hirise/internal/obs"
-	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/prng"
 	"github.com/reprolab/hirise/internal/sched"
 	"github.com/reprolab/hirise/internal/stats"
@@ -339,46 +338,4 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// VOQLoadSweep runs the VOQ configuration at each load on at most
-// workers concurrent simulations and returns the results in load order,
-// mirroring LoadSweep: each point gets a fresh scheduler from newSched
-// (schedulers carry pointer state) and, when newTraffic is non-nil, its
-// own traffic instance, and derives its seed from (base.Seed, point
-// index) via pool.SeedFor, so results are identical at every worker
-// count.
-func VOQLoadSweep(base VOQConfig, newSched func() sched.Scheduler, newTraffic func() Traffic, loads []float64, workers int) ([]Result, error) {
-	return VOQLoadSweepObserved(base, newSched, newTraffic, loads, workers, nil)
-}
-
-// VOQLoadSweepObserved is VOQLoadSweep with per-point observability,
-// with the same obsFor contract as LoadSweepObserved.
-func VOQLoadSweepObserved(base VOQConfig, newSched func() sched.Scheduler, newTraffic func() Traffic, loads []float64, workers int, obsFor func(i int) *obs.Observer) ([]Result, error) {
-	out := make([]Result, len(loads))
-	errs := make([]error, len(loads))
-	pool.DoCtx(base.Ctx, len(loads), workers, func(i int) {
-		cfg := base
-		if newSched != nil {
-			cfg.Sched = newSched()
-		}
-		if newTraffic != nil {
-			cfg.Traffic = newTraffic()
-		}
-		if obsFor != nil {
-			cfg.Obs = obsFor(i)
-		}
-		cfg.Load = loads[i]
-		cfg.Seed = pool.SeedFor(base.Seed, uint64(i))
-		out[i], errs[i] = RunVOQ(cfg)
-	})
-	if base.Ctx != nil && base.Ctx.Err() != nil {
-		return nil, base.Ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/hirise/internal/obs"
+	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/sched"
 	"github.com/reprolab/hirise/internal/tele"
 	"github.com/reprolab/hirise/internal/traffic"
@@ -118,22 +119,28 @@ func TestRunVOQDeterminism(t *testing.T) {
 }
 
 // TestVOQLoadSweepWorkerInvariance pins the determinism contract for the
-// sweep: any worker count yields byte-identical results.
+// VOQ loop: a sweep over pool.Sweep with a fresh scheduler per point is
+// identical at 1, 2 and 4 workers.
 func TestVOQLoadSweepWorkerInvariance(t *testing.T) {
 	const n = 16
 	base := voqCfg(n, nil, 0)
 	loads := []float64{0.2, 0.5, 0.8, 1.0}
-	newSched := func() sched.Scheduler { return sched.NewISLIP(n, 2) }
-	serial, err := VOQLoadSweep(base, newSched, nil, loads, 1)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(workers int) []Result {
+		res, err := pool.Sweep(nil, len(loads), workers, base.Seed, func(i int, seed uint64) (Result, error) {
+			cfg := base
+			cfg.Sched, cfg.Load, cfg.Seed = sched.NewISLIP(n, 2), loads[i], seed
+			return RunVOQ(cfg)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	parallel, err := VOQLoadSweep(base, newSched, nil, loads, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("sweep diverged across worker counts:\n%+v\n%+v", serial, parallel)
+	serial := sweep(1)
+	for _, workers := range []int{2, 4} {
+		if parallel := sweep(workers); !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("workers=%d diverged from serial:\n%+v\n%+v", workers, serial, parallel)
+		}
 	}
 }
 
