@@ -497,15 +497,16 @@ type (
 // figure, plus ablations).
 func Experiments() []string { return experiments.IDs() }
 
-// RunExperiment regenerates one paper artifact, under opts.Ctx when it
-// is set.
+// RunExperiment regenerates one paper artifact, or returns the first
+// error one of its simulations met. It cannot be cancelled; use
+// RunExperimentCtx for that.
 func RunExperiment(id string, opts ExperimentOpts) (*ExperimentTable, error) {
-	return experiments.RunCtx(opts.Ctx, id, opts)
+	return experiments.RunCtx(context.TODO(), id, opts)
 }
 
 // RunExperimentCtx is RunExperiment under a cancellable context: the
-// sweep stops within one simulation point of ctx's cancellation and the
-// partial table is discarded.
+// sweep stops within one simulation point of ctx's cancellation and
+// returns an error wrapping ctx.Err(), with no table.
 func RunExperimentCtx(ctx context.Context, id string, opts ExperimentOpts) (*ExperimentTable, error) {
 	return experiments.RunCtx(ctx, id, opts)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/reprolab/hirise/internal/arb"
-	"github.com/reprolab/hirise/internal/core"
 	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/stats"
@@ -20,57 +19,40 @@ import (
 // AblateClasses sweeps the CLRG class count and reports hotspot fairness:
 // Jain's index and the max/min ratio of per-input throughput under a
 // saturated hotspot. The paper found 3 classes sufficient at radix 64.
-func AblateClasses(o Opts) *Table {
+func AblateClasses(o Opts) (*Table, error) {
 	o = o.norm()
 	classCounts := []int{2, 3, 4, 6, 8}
-	rows := make([][]string, len(classCounts))
-	o.sweep(len(classCounts), func(i int) {
-		classes := classCounts[i]
-		mk := func() *core.Switch {
-			sw, err := core.New(topo.Config{
-				Radix: 64, Layers: 4, Channels: 4,
-				Alloc: topo.InputBinned, Scheme: topo.CLRG, Classes: classes,
-			})
-			if err != nil {
-				panic(err)
-			}
-			return sw
-		}
-		sat, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  mk(),
-			Traffic: traffic.Hotspot{Target: 63},
-			Load:    1.0,
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("ablate-classes", i, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
+	rows, err := sweep(o, len(classCounts), func(i int) ([]string, error) {
+		d := designHiRise("", 4, topo.CLRG)
+		d.Cfg.Classes = classCounts[i]
+		c := o.simConfig("ablate-classes", i, 0)
+		c.Switch, c.Traffic, c.Load = d.NewSwitch(), traffic.Hotspot{Target: 63}, 1.0
+		sat, err := sim.Run(c)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		// Contended-but-unsaturated operating point (Fig 11a's region):
 		// latency fairness between the hot output's own layer and the
 		// remote layers.
-		part, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  mk(),
-			Traffic: traffic.Hotspot{Target: 63},
-			Load:    0.95 * 0.2 / 64,
-			Warmup:  o.Warmup * 4, Measure: o.Measure * 4, Seed: o.seedFor("ablate-classes", i, 1),
-			ConvergeStop: o.ConvergeStop,
-		})
+		c.Switch, c.Load, c.Seed = d.NewSwitch(), 0.95*0.2/64, o.seedFor("ablate-classes", i, 1)
+		c.Warmup, c.Measure = o.Warmup*4, o.Measure*4
+		part, err := sim.Run(c)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		local := stats.Median(part.PerInputLatency[48:])
 		remote := stats.Median(part.PerInputLatency[:48])
-		rows[i] = []string{
-			fmt.Sprintf("%d", classes),
+		return []string{
+			fmt.Sprintf("%d", classCounts[i]),
 			f(stats.JainIndex(sat.PerInputPackets), 3),
 			f(stats.MaxMinRatio(sat.PerInputPackets), 2),
 			f(sat.AcceptedPackets, 3),
 			f(local/remote, 2),
-		}
+		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "ablate-classes",
 		Title:  "CLRG class-count sensitivity, hotspot to output 63",
@@ -80,22 +62,16 @@ func AblateClasses(o Opts) *Table {
 			"paper uses 3 classes (thermometer {00,01,11}); Jain 1.0 = perfectly fair",
 			"steady hotspot is fair for any class count >= 2; short counters matter for burst forgiveness (see ablate-bursty)",
 		},
-	}
+	}, nil
 }
 
 // AblateAlloc compares the three channel allocation policies of §III-A
 // across traffic patterns, reporting saturation throughput in
 // flits/cycle. Priority-based allocation wins on bin-adversarial traffic
 // at the cost of serialized channel arbitration in hardware.
-func AblateAlloc(o Opts) *Table {
+func AblateAlloc(o Opts) (*Table, error) {
 	o = o.norm()
 	policies := []topo.AllocPolicy{topo.InputBinned, topo.OutputBinned, topo.PriorityBased}
-	cfgFor := func(p topo.AllocPolicy) topo.Config {
-		return topo.Config{
-			Radix: 64, Layers: 4, Channels: 4,
-			Alloc: p, Scheme: topo.CLRG, Classes: 3,
-		}
-	}
 	patterns := []struct {
 		name string
 		make func(cfg topo.Config) sim.Traffic
@@ -107,30 +83,24 @@ func AblateAlloc(o Opts) *Table {
 		{"bit-reverse", func(topo.Config) sim.Traffic { return traffic.BitReverse{Radix: 64} }},
 	}
 
-	rows := make([][]string, len(policies))
-	o.sweep(len(policies), func(pi int) {
-		cfg := cfgFor(policies[pi])
+	rows, err := sweep(o, len(policies), func(pi int) ([]string, error) {
+		d := designHiRise("", 4, topo.CLRG)
+		d.Cfg.Alloc = policies[pi]
 		row := []string{policies[pi].String()}
 		for pati, pat := range patterns {
-			sw, err := core.New(cfg)
+			c := o.simConfig("ablate-alloc", pi*len(patterns)+pati, 0)
+			c.Switch, c.Traffic = d.NewSwitch(), pat.make(d.Cfg)
+			flits, err := sim.SaturationThroughput(c)
 			if err != nil {
-				panic(err)
-			}
-			flits, err := sim.SaturationThroughput(sim.Config{
-				Ctx:     o.Ctx,
-				Switch:  sw,
-				Traffic: pat.make(cfg),
-				Warmup:  o.Warmup, Measure: o.Measure,
-				ConvergeStop: o.ConvergeStop,
-				Seed:         o.seedFor("ablate-alloc", pi*len(patterns)+pati, 0),
-			})
-			if err != nil {
-				panic(err)
+				return nil, err
 			}
 			row = append(row, f(flits, 1))
 		}
-		rows[pi] = row
+		return row, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	header := []string{"Allocation"}
 	for _, pat := range patterns {
 		header = append(header, pat.name)
@@ -141,53 +111,43 @@ func AblateAlloc(o Opts) *Table {
 		Header: header,
 		Rows:   rows,
 		Notes:  []string{"priority allocation removes fixed-bin serialization on adversarial inter-layer traffic (paper §III-A)"},
-	}
+	}, nil
 }
 
 // AblateVCs sweeps the virtual channel count of the evaluation setup
 // (paper §V fixes 4) under uniform random traffic on the CLRG switch.
-func AblateVCs(o Opts) *Table {
+func AblateVCs(o Opts) (*Table, error) {
 	o = o.norm()
 	vcs := []int{1, 2, 4, 8}
-	rows := make([][]string, len(vcs))
-	o.sweep(len(vcs), func(i int) {
+	rows, err := sweep(o, len(vcs), func(i int) ([]string, error) {
 		d := designHiRise("", 4, topo.CLRG)
-		flits, err := sim.SaturationThroughput(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  d.NewSwitch(),
-			Traffic: traffic.Uniform{Radix: 64},
-			VCs:     vcs[i],
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("ablate-vcs", i, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
+		c := o.simConfig("ablate-vcs", i, 0)
+		c.Switch, c.Traffic, c.VCs = d.NewSwitch(), traffic.Uniform{Radix: 64}, vcs[i]
+		flits, err := sim.SaturationThroughput(c)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		low, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  d.NewSwitch(),
-			Traffic: traffic.Uniform{Radix: 64},
-			VCs:     vcs[i],
-			Load:    0.05,
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("ablate-vcs", i, 1),
-			ConvergeStop: o.ConvergeStop,
-		})
+		c.Switch, c.Load, c.Seed = d.NewSwitch(), 0.05, o.seedFor("ablate-vcs", i, 1)
+		low, err := sim.Run(c)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		rows[i] = []string{
+		return []string{
 			fmt.Sprintf("%d", vcs[i]),
 			f(flits/64, 3),
 			f(low.AvgLatency, 2),
-		}
+		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "ablate-vcs",
 		Title:  "Virtual-channel count sensitivity, uniform random, Hi-Rise 4-channel CLRG",
 		Header: []string{"VCs", "Saturation util(flits/cyc/port)", "Latency@5% (cycles)"},
 		Rows:   rows,
 		Notes:  []string{"paper §V uses 4 VCs x 4-flit buffers; 1 VC exposes head-of-line blocking"},
-	}
+	}, nil
 }
 
 // Locality sweeps the intra-layer fraction of the traffic and reports
@@ -195,7 +155,7 @@ func AblateVCs(o Opts) *Table {
 // against the 2D switch. It quantifies the paper's §VI-E argument that
 // layer-aware placement and routing relieve the L2LC bottleneck: at full
 // locality Hi-Rise matches 2D even with a single channel per layer pair.
-func Locality(o Opts) *Table {
+func Locality(o Opts) (*Table, error) {
 	o = o.norm()
 	fracs := []float64{0, 0.25, 0.5, 0.75, 1.0}
 	designs := []Design{
@@ -203,48 +163,25 @@ func Locality(o Opts) *Table {
 		designHiRise("3D 4-Channel", 4, topo.CLRG),
 		designHiRise("3D 1-Channel", 1, topo.CLRG),
 	}
-	cells := make([][]string, len(designs))
-	for di := range cells {
-		cells[di] = make([]string, len(fracs))
-	}
-	o.sweep(len(designs)*len(fracs), func(k int) {
-		di, fi := k/len(fracs), k%len(fracs)
-		flits, err := sim.SaturationThroughput(sim.Config{
-			Ctx:    o.Ctx,
-			Switch: designs[di].NewSwitch(),
-			Traffic: traffic.LayerMix{
-				Cfg:       designHiRise("", 4, topo.CLRG).Cfg,
-				LocalFrac: fracs[fi],
-			},
-			Warmup: o.Warmup, Measure: o.Measure, Seed: o.seedFor("locality", k, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
-		if err != nil {
-			panic(err)
-		}
-		cells[di][fi] = f(flits, 1)
+	cells, err := sweep(o, len(designs)*len(fracs), func(k int) (string, error) {
+		c := o.simConfig("locality", k, 0)
+		c.Switch = designs[k/len(fracs)].NewSwitch()
+		c.Traffic = traffic.LayerMix{Cfg: designHiRise("", 4, topo.CLRG).Cfg, LocalFrac: fracs[k%len(fracs)]}
+		flits, err := sim.SaturationThroughput(c)
+		return f(flits, 1), err
 	})
-	rows := make([][]string, len(fracs))
-	for fi, frac := range fracs {
-		row := []string{f(frac, 2)}
-		for di := range designs {
-			row = append(row, cells[di][fi])
-		}
-		rows[fi] = row
-	}
-	header := []string{"Local fraction"}
-	for _, d := range designs {
-		header = append(header, d.Name)
+	if err != nil {
+		return nil, err
 	}
 	return &Table{
 		ID:     "locality",
 		Title:  "Saturation throughput (flits/cycle) vs intra-layer traffic fraction",
-		Header: header,
-		Rows:   rows,
+		Header: designHeader("Local fraction", designs),
+		Rows:   byColumn(fracs, cells),
 		Notes: []string{
 			"layer-aware placement turns the L2LC bottleneck off: at locality 1.0 even 1-channel Hi-Rise matches 2D (paper §VI-E)",
 		},
-	}
+	}, nil
 }
 
 // AblateQoS demonstrates the weighted quality-of-service arbitration the
@@ -252,7 +189,7 @@ func Locality(o Opts) *Table {
 // [11][15]): a 2D crossbar whose per-output arbiters give inputs 0-15
 // weight 4, 16-31 weight 2, and the rest weight 1. Under a saturated
 // hotspot, delivered bandwidth divides by weight class.
-func AblateQoS(o Opts) *Table {
+func AblateQoS(o Opts) (*Table, error) {
 	o = o.norm()
 	weights := make([]int, 64)
 	for i := range weights {
@@ -265,25 +202,25 @@ func AblateQoS(o Opts) *Table {
 			weights[i] = 1
 		}
 	}
-	arbs := make([]arb.Arbiter, 64)
-	for i := range arbs {
-		arbs[i] = arb.NewQoS(weights)
-	}
-	sw, err := crossbar.NewWithArbiters(64, arbs)
-	if err != nil {
-		panic(err)
-	}
-	res, err := sim.Run(sim.Config{
-		Ctx:     o.Ctx,
-		Switch:  sw,
-		Traffic: traffic.Hotspot{Target: 63},
-		Load:    1.0,
-		Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("ablate-qos", 0, 0),
-		ConvergeStop: o.ConvergeStop,
+	// One simulation, run as a one-task sweep so it cancels and reports
+	// progress like every other runner's.
+	results, err := sweep(o, 1, func(int) (sim.Result, error) {
+		arbs := make([]arb.Arbiter, 64)
+		for i := range arbs {
+			arbs[i] = arb.NewQoS(weights)
+		}
+		sw, err := crossbar.NewWithArbiters(64, arbs)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		c := o.simConfig("ablate-qos", 0, 0)
+		c.Switch, c.Traffic, c.Load = sw, traffic.Hotspot{Target: 63}, 1.0
+		return sim.Run(c)
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
+	res := results[0]
 	share := func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
@@ -303,7 +240,7 @@ func AblateQoS(o Opts) *Table {
 		Header: []string{"Class", "Measured share", "Ideal share"},
 		Rows:   rows,
 		Notes:  []string{"weighted credits embedded per output, as in the DAC'12 Swizzle-Switch QoS silicon (paper refs [11][15])"},
-	}
+	}, nil
 }
 
 // AblateISLIP demonstrates the paper's §VII related-work observation: a
@@ -311,36 +248,26 @@ func AblateQoS(o Opts) *Table {
 // local pointer advancing only on a final grant — behaves like the
 // unfair L-2-L LRG baseline on the adversarial pattern, while CLRG fixes
 // it. Per-input throughput of the five adversarial requestors.
-func AblateISLIP(o Opts) *Table {
+func AblateISLIP(o Opts) (*Table, error) {
 	o = o.norm()
 	schemes := []topo.Scheme{topo.L2LLRG, topo.ISLIP1, topo.CLRG}
 	inputs := []int{3, 7, 11, 15, 20}
-	cols := make([][]float64, len(schemes))
-	o.sweep(len(schemes), func(si int) {
-		sw, err := core.New(topo.Config{
-			Radix: 64, Layers: 4, Channels: 1,
-			Alloc: topo.InputBinned, Scheme: schemes[si], Classes: 3,
-		})
+	cols, err := sweep(o, len(schemes), func(si int) ([]float64, error) {
+		c := o.simConfig("ablate-islip", si, 0)
+		c.Switch, c.Traffic, c.Load = designHiRise("", 1, schemes[si]).NewSwitch(), traffic.Adversarial(), 1.0
+		res, err := sim.Run(c)
 		if err != nil {
-			panic(err)
-		}
-		res, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  sw,
-			Traffic: traffic.Adversarial(),
-			Load:    1.0,
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("ablate-islip", si, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
-		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		col := make([]float64, len(inputs))
 		for i, in := range inputs {
 			col[i] = res.PerInputPackets[in]
 		}
-		cols[si] = col
+		return col, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([][]string, len(inputs))
 	for i, in := range inputs {
 		row := []string{fmt.Sprintf("%d", in)}
@@ -361,42 +288,39 @@ func AblateISLIP(o Opts) *Table {
 		Notes: []string{
 			"paper §VII: \"a single iteration of iSLIP is similar to the baseline L-2-L LRG and does not solve the fairness issues\"",
 		},
-	}
+	}, nil
 }
 
 // AblateBursty probes fairness under bursty hotspot traffic, where short
 // CLRG counters are meant to forgive bursts quickly (paper §III-B4
 // motivates the short thermometer counter).
-func AblateBursty(o Opts) *Table {
+func AblateBursty(o Opts) (*Table, error) {
 	o = o.norm()
 	designs := arbitrationDesigns()
-	rows := make([][]string, len(designs))
-	o.sweep(len(designs), func(di int) {
+	rows, err := sweep(o, len(designs), func(di int) ([]string, error) {
 		d := designs[di]
-		res, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  d.NewSwitch(),
-			Traffic: traffic.NewBursty(64, 16),
-			Load:    0.3,
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("ablate-bursty", di, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
+		c := o.simConfig("ablate-bursty", di, 0)
+		c.Switch, c.Traffic, c.Load = d.NewSwitch(), traffic.NewBursty(64, 16), 0.3
+		res, err := sim.Run(c)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		rows[di] = []string{
+		return []string{
 			d.Name,
 			f(res.AcceptedPackets, 2),
 			f(res.AvgLatency, 1),
 			f(res.P99Latency, 0),
 			f(stats.JainIndex(res.PerInputPackets), 3),
-		}
+		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "ablate-bursty",
 		Title:  "Bursty uniform traffic (mean burst 16 packets) at 0.3 packets/cycle/input",
 		Header: []string{"Design", "Tput(pkt/cycle)", "Avg lat(cyc)", "P99 lat(cyc)", "Jain"},
 		Rows:   rows,
 		Notes:  []string{"bursty traffic is one of the paper's §V synthetic patterns"},
-	}
+	}, nil
 }

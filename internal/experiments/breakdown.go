@@ -18,7 +18,7 @@ func init() {
 // go for each channel multiplicity — the engineering view behind Table
 // IV: the local switch dominates all three, TSVs are cheap at the
 // paper's 0.8 µm pitch, and CLRG's additions are in the noise.
-func CostBreakdown(o Opts) *Table {
+func CostBreakdown(o Opts) (*Table, error) {
 	o = o.norm()
 	rows := make([][]string, 0, 3)
 	for _, c := range []int{1, 2, 4} {
@@ -43,56 +43,46 @@ func CostBreakdown(o Opts) *Table {
 			"phase 1 (local switch) dominates the cycle; TSVs cost ~10% of it at 0.8um pitch",
 			"totals reconcile exactly with Tables IV/V (tested)",
 		},
-	}
+	}, nil
 }
 
 // AblatePacketLength sweeps the packet size (the paper fixes 4 flits,
 // §V) on the CLRG switch under uniform random traffic. Longer packets
 // amortize the arbitration cycle (peak utilization n/(n+1)) but deepen
 // queueing delay.
-func AblatePacketLength(o Opts) *Table {
+func AblatePacketLength(o Opts) (*Table, error) {
 	o = o.norm()
 	lengths := []int{1, 2, 4, 8, 16}
-	rows := make([][]string, len(lengths))
-	o.sweep(len(lengths), func(i int) {
+	rows, err := sweep(o, len(lengths), func(i int) ([]string, error) {
 		n := lengths[i]
 		d := designHiRise("", 4, topo.CLRG)
-		sat, err := sim.SaturationThroughput(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  d.NewSwitch(),
-			Traffic: traffic.Uniform{Radix: 64},
-			// Keep buffering per VC matched to the packet.
-			PacketFlits: n,
-			Warmup:      o.Warmup, Measure: o.Measure, Seed: o.seedFor("ablate-pktlen", i, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
+		c := o.simConfig("ablate-pktlen", i, 0)
+		// Keep buffering per VC matched to the packet.
+		c.Switch, c.Traffic, c.PacketFlits = d.NewSwitch(), traffic.Uniform{Radix: 64}, n
+		sat, err := sim.SaturationThroughput(c)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		low, err := sim.Run(sim.Config{
-			Ctx:         o.Ctx,
-			Switch:      d.NewSwitch(),
-			Traffic:     traffic.Uniform{Radix: 64},
-			PacketFlits: n,
-			Load:        0.02,
-			Warmup:      o.Warmup, Measure: o.Measure, Seed: o.seedFor("ablate-pktlen", i, 1),
-			ConvergeStop: o.ConvergeStop,
-		})
+		c.Switch, c.Load, c.Seed = d.NewSwitch(), 0.02, o.seedFor("ablate-pktlen", i, 1)
+		low, err := sim.Run(c)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		rows[i] = []string{
+		return []string{
 			fmt.Sprintf("%d", n),
 			f(float64(n)/float64(n+1), 2),
 			f(sat/64, 3),
 			f(low.AvgLatency, 2),
-		}
+		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "ablate-pktlen",
 		Title:  "Packet length sensitivity, uniform random, Hi-Rise 4-channel CLRG",
 		Header: []string{"Flits/packet", "Peak util bound", "Saturation util", "Latency@2% (cycles)"},
 		Rows:   rows,
 		Notes:  []string{"the paper's 4-flit packets sit at the knee: 0.8 peak bound with modest serialization delay"},
-	}
+	}, nil
 }

@@ -18,29 +18,31 @@ const memRefsPerInstr = 0.3
 // synthetic working set, streams it through the actual Table III L1
 // (32 KB, 4-way, 64 B, LRU), and compares the measured MPKI to the
 // catalog value the many-core model injects.
-func CacheMPKI(o Opts) *Table {
+func CacheMPKI(o Opts) (*Table, error) {
 	o = o.norm()
 	names := []string{"sjeng", "gcc", "astar", "sjas", "milc", "swim", "Gems", "mcf"}
 	refs := int(o.Measure) * 8
-	rows := make([][]string, len(names))
-	o.sweep(len(names), func(i int) {
+	rows, err := sweep(o, len(names), func(i int) ([]string, error) {
 		b, err := trace.Lookup(names[i])
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		target := b.NetMPKI / 1000 / memRefsPerInstr
 		p := cache.ForMissRate(target, cache.L1D())
 		measured, err := cache.MeasureMissRate(p, cache.L1D(), refs, o.seedFor("cache-mpki", i, 0))
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		rows[i] = []string{
+		return []string{
 			b.Name,
 			f(b.NetMPKI, 1),
 			f(float64(p.WorkingSetBytes)/1024, 0),
 			f(measured*memRefsPerInstr*1000, 1),
-		}
+		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "cache-mpki",
 		Title:  "Catalog MPKI realized on the real Table III L1 (32KB 4-way LRU, 64B blocks)",
@@ -50,5 +52,5 @@ func CacheMPKI(o Opts) *Table {
 			"assumes ~0.3 memory references per instruction",
 			"shows the trace substitution's MPKIs correspond to realizable cache behaviour, not arbitrary rates",
 		},
-	}
+	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -40,7 +41,7 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := r(o)
+	plain := mustRun(t, r, o)
 	viaCtx, err := RunCtx(context.Background(), "fig9a", o)
 	if err != nil {
 		t.Fatal(err)
@@ -88,5 +89,64 @@ func TestRunCtxRejectsNegativeWindows(t *testing.T) {
 		if tb != nil || ran {
 			t.Errorf("warmup=%d measure=%d: the experiment ran", tc.warmup, tc.measure)
 		}
+	}
+}
+
+// quickOnly are the experiments whose models do not poll ctx: the
+// many-core system and the cache calibration. They run at QuickOpts
+// windows and may finish before the cancel lands.
+var quickOnly = map[string]bool{"table6": true, "table6-addr": true, "table6-detail": true, "cache-mpki": true}
+
+// TestRunCtxCancelEveryExperiment: cancelling any registered experiment
+// mid-run returns context.Canceled and no table, or a complete table,
+// and never panics. The cycle-loop experiments get windows far too
+// long to finish, so the cancel always lands inside a simulation.
+func TestRunCtxCancelEveryExperiment(t *testing.T) {
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			o := QuickOpts()
+			o.Workers = 2
+			if !quickOnly[id] {
+				o.Warmup, o.Measure = 10_000_000, 2_000_000_000
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(20*time.Millisecond, cancel)
+			tb, err := RunCtx(ctx, id, o)
+			switch {
+			case errors.Is(err, context.Canceled):
+				if tb != nil {
+					t.Fatalf("cancelled run returned a table: %+v", tb)
+				}
+			case err != nil:
+				t.Fatalf("err = %v, want context.Canceled or a table", err)
+			case tb == nil || len(tb.Rows) == 0:
+				t.Fatal("no error and no table")
+			}
+		})
+	}
+}
+
+// TestSweepReturnsLowestIndexError: a failing task's error comes back
+// as a value, the lowest index first as in a serial loop, and Progress
+// still fires once per task.
+func TestSweepReturnsLowestIndexError(t *testing.T) {
+	var calls atomic.Int64
+	o := Opts{Workers: 3, Progress: func() { calls.Add(1) }}
+	first, later := errors.New("task 3"), errors.New("task 5")
+	_, err := sweep(o, 8, func(i int) (int, error) {
+		switch i {
+		case 3:
+			return 0, first
+		case 5:
+			return 0, later
+		}
+		return i, nil
+	})
+	if !errors.Is(err, first) {
+		t.Fatalf("err = %v, want %v", err, first)
+	}
+	if n := calls.Load(); n != 8 {
+		t.Fatalf("Progress fired %d times, want 8", n)
 	}
 }

@@ -30,46 +30,37 @@ var degradationSchemes = []topo.Scheme{topo.CLRG, topo.L2LLRG}
 // throughput and latency quantiles with the invariant checker on. Every
 // simulated cycle of this table is self-checking: a grant on a failed
 // resource or an unaccounted flit aborts the experiment.
-func Degradation(o Opts) *Table {
+func Degradation(o Opts) (*Table, error) {
 	o = o.norm()
 	type cell struct{ tput, p50, p99 float64 }
-	cells := make([][]cell, len(degradationCounts))
-	for i := range cells {
-		cells[i] = make([]cell, len(degradationSchemes))
-	}
-	o.sweep(len(degradationCounts)*len(degradationSchemes), func(k int) {
-		ci, si := k/len(degradationSchemes), k%len(degradationSchemes)
+	ns := len(degradationSchemes)
+	cells, err := sweep(o, len(degradationCounts)*ns, func(k int) (cell, error) {
+		ci, si := k/ns, k%ns
 		d := designHiRise("3D", 4, degradationSchemes[si])
 		plan, err := fault.Spec{
 			Seed: o.Seed, Campaign: "degradation", Cfg: d.Cfg,
 			FailChannels: degradationCounts[ci],
 		}.Build()
 		if err != nil {
-			panic(err)
+			return cell{}, err
 		}
-		res, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  d.NewSwitch(),
-			Traffic: traffic.Uniform{Radix: d.Cfg.Radix},
-			Load:    1.0,
-			Warmup:  o.Warmup, Measure: o.Measure,
-			ConvergeStop: o.ConvergeStop,
-			// The seed depends on the count only: both schemes at a row see
-			// the same offered traffic as well as the same failed channels.
-			Seed:   o.seedFor("degradation", ci, 0),
-			Faults: plan, Check: true,
-		})
-		if err != nil {
-			panic(err)
-		}
-		cells[ci][si] = cell{res.AcceptedFlits, res.P50Latency, res.P99Latency}
+		// The seed depends on the count only: both schemes at a row see
+		// the same offered traffic as well as the same failed channels.
+		c := o.simConfig("degradation", ci, 0)
+		c.Switch, c.Traffic, c.Load = d.NewSwitch(), traffic.Uniform{Radix: d.Cfg.Radix}, 1.0
+		c.Faults, c.Check = plan, true
+		res, err := sim.Run(c)
+		return cell{res.AcceptedFlits, res.P50Latency, res.P99Latency}, err
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([][]string, len(degradationCounts))
 	for ci, n := range degradationCounts {
 		row := []string{fmt.Sprintf("%d", n)}
 		for si := range degradationSchemes {
-			c := cells[ci][si]
+			c := cells[ci*ns+si]
 			row = append(row, f(c.tput, 2), f(c.p50, 1), f(c.p99, 1))
 		}
 		rows[ci] = row
@@ -87,5 +78,5 @@ func Degradation(o Opts) *Table {
 			"fail-stop channel faults, nested sets: each row's failures include the previous row's",
 			"invariant checker on for every run: failed-resource grants or lost flits abort",
 		},
-	}
+	}, nil
 }

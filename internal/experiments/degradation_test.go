@@ -6,12 +6,6 @@ import (
 	"testing"
 )
 
-func degradationQuick(workers int) *Table {
-	o := QuickOpts()
-	o.Workers = workers
-	return Degradation(o)
-}
-
 // TestDegradationDeterministicAcrossWorkers requires the campaign to be
 // byte-identical at any parallelism — the fault plane must not leak
 // scheduling into results.
@@ -19,9 +13,9 @@ func TestDegradationDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker campaign sweep")
 	}
-	want := degradationQuick(1)
+	want := quickAt(t, Degradation, 1)
 	for _, w := range []int{2, 7} {
-		if got := degradationQuick(w); !reflect.DeepEqual(want, got) {
+		if got := quickAt(t, Degradation, w); !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d diverged from serial:\n%s\nvs\n%s", w, want, got)
 		}
 	}
@@ -30,7 +24,7 @@ func TestDegradationDeterministicAcrossWorkers(t *testing.T) {
 // TestDegradationMonotone requires saturation throughput to decline (never
 // rise) as the nested failed-channel sets grow, for every scheme column.
 func TestDegradationMonotone(t *testing.T) {
-	tbl := degradationQuick(0)
+	tbl := quickAt(t, Degradation, 0)
 	if len(tbl.Rows) != len(degradationCounts) {
 		t.Fatalf("expected %d rows, got %d", len(degradationCounts), len(tbl.Rows))
 	}

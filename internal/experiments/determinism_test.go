@@ -32,9 +32,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := r(fastOpts(1)).String()
+			serial := mustRun(t, r, fastOpts(1)).String()
 			for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
-				if got := r(fastOpts(w)).String(); got != serial {
+				if got := mustRun(t, r, fastOpts(w)).String(); got != serial {
 					t.Errorf("workers=%d output differs from serial:\n--- serial ---\n%s--- workers=%d ---\n%s",
 						w, serial, w, got)
 				}
@@ -48,13 +48,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 // must not (otherwise the "replicates" are not actually resampling).
 func TestSameSeedReproduces(t *testing.T) {
 	o := fastOpts(0)
-	a := TableIVReplicated(o).String()
-	b := TableIVReplicated(o).String()
+	a := mustRun(t, TableIVReplicated, o).String()
+	b := mustRun(t, TableIVReplicated, o).String()
 	if a != b {
 		t.Errorf("same seed produced different table4-ci output:\n%s\nvs\n%s", a, b)
 	}
 	o.Seed = 12345
-	if c := TableIVReplicated(o).String(); c == a {
+	if c := mustRun(t, TableIVReplicated, o).String(); c == a {
 		t.Error("different seed produced identical table4-ci output")
 	}
 }

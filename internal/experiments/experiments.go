@@ -41,17 +41,13 @@ type Opts struct {
 	// stays byte-identical — but results differ from full-length runs,
 	// so the flag is part of CacheKey.
 	ConvergeStop bool
-	// Ctx, when non-nil, makes the experiment cancellable: pending sweep
-	// points are skipped, in-flight simulations abort at their next
-	// cycle-level check, and the runner returns quickly with a partial
-	// (garbage) table. Callers MUST check Ctx.Err() after the runner
-	// returns and discard the table if it is non-nil — RunCtx does this.
-	// Ctx and Progress never influence results, so both are excluded
-	// from CacheKey.
-	Ctx context.Context
-	// Progress, when non-nil, is called once after every completed
-	// simulation task inside the experiment's sweeps. It runs on worker
-	// goroutines and must be safe for concurrent use; it must not block.
+	// ctx is RunCtx's context: pending sweep points are skipped and
+	// in-flight simulations abort at their next cycle-level check. Like
+	// Progress it never influences results, so neither is in CacheKey.
+	ctx context.Context
+	// Progress, when non-nil, is called once after every task of the
+	// experiment's sweeps. It runs on worker goroutines and must be safe
+	// for concurrent use; it must not block.
 	Progress func()
 }
 
@@ -93,7 +89,8 @@ func (o Opts) norm() Opts {
 // exactly the Opts fields that influence results, normalized so that
 // explicitly-default and unset options collide. Workers is excluded
 // (output is byte-identical at every worker count — that is the pool's
-// contract), as are Ctx and Progress (control plumbing, not physics).
+// contract), as are the context and Progress (control plumbing, not
+// physics).
 // internal/store hashes this struct, together with the experiment ID and
 // the model-version fingerprint, into the result key.
 type CacheKey struct {
@@ -113,10 +110,10 @@ func (o Opts) CacheKey() CacheKey {
 }
 
 // RunCtx runs the registered experiment id at the given fidelity under
-// ctx. It is the cancellation-correct entry point: a cancelled ctx makes
-// the runner unwind quickly (skipped sweep points, aborted simulations)
-// and RunCtx then discards the partial table and returns the ctx error.
-// A negative Warmup or Measure is an error before any runner starts.
+// ctx, the only way a context reaches a runner. It returns the table,
+// or no table and the first error a simulation met, named by id; a
+// cancelled ctx returns an error wrapping ctx.Err(). A negative Warmup
+// or Measure is an error before any runner starts.
 func RunCtx(ctx context.Context, id string, o Opts) (*Table, error) {
 	r, err := Get(id)
 	if err != nil {
@@ -128,12 +125,10 @@ func RunCtx(ctx context.Context, id string, o Opts) (*Table, error) {
 	if o.Measure < 0 {
 		return nil, fmt.Errorf("experiments: measure %d is negative", o.Measure)
 	}
-	if ctx != nil {
-		o.Ctx = ctx
-	}
-	t := r(o)
-	if o.Ctx != nil && o.Ctx.Err() != nil {
-		return nil, o.Ctx.Err()
+	o.ctx = ctx
+	t, err := r(o)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
 	return t, nil
 }
@@ -231,6 +226,31 @@ func designHiRise(name string, channels int, scheme topo.Scheme) Design {
 	}}
 }
 
+// designHeader is a table header: the first column's name, then one
+// column per design.
+func designHeader(first string, designs []Design) []string {
+	h := []string{first}
+	for _, d := range designs {
+		h = append(h, d.Name)
+	}
+	return h
+}
+
+// byColumn lays out a design-major sweep, where cell k belongs to design
+// k/len(xs) at x k%len(xs), as one row per x: the x value, then each
+// design's cell.
+func byColumn(xs []float64, cells []string) [][]string {
+	rows := make([][]string, len(xs))
+	for i, x := range xs {
+		row := []string{f(x, 2)}
+		for k := i; k < len(cells); k += len(xs) {
+			row = append(row, cells[k])
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
 // NewSwitch builds a fresh simulator instance of the design.
 func (d Design) NewSwitch() sim.Switch { return spec.NewSwitch(d.Spec, d.Cfg) }
 
@@ -240,24 +260,29 @@ func (d Design) Cost(tech phys.Tech) phys.Cost { return spec.CostOf(d.Spec, d.Cf
 // ConfigString renders the design's structure in the paper's table style.
 func (d Design) ConfigString() string { return spec.ConfigString(d.Spec, d.Cfg) }
 
-// sweep runs fn(i) for i in [0,n) through the bounded worker pool at the
-// options' worker count and waits. fn must write only index-owned state;
-// per-task PRNG streams come from o.seedFor, never from scheduling.
-//
-// With a non-nil o.Ctx the sweep is cancellable: cancelled runs skip
-// pending tasks, and panics raised by in-flight tasks that were aborted
-// by the same cancellation (simulations return their ctx error, which
-// runners re-panic) are suppressed by the pool — the caller's post-run
-// Ctx.Err() check is the authoritative failure signal.
-func (o Opts) sweep(n int, fn func(i int)) {
-	task := fn
-	if o.Progress != nil {
-		task = func(i int) {
+// sweep runs point(i) for i in [0,n) at the options' worker count and
+// returns the results in index order, under pool.Sweep's contract: a
+// cancelled ctx returns its error, otherwise the lowest-index error
+// wins. Per-task PRNG streams come from o.seedFor, never from
+// scheduling. Progress fires once after every task.
+func sweep[R any](o Opts, n int, point func(i int) (R, error)) ([]R, error) {
+	return pool.Sweep(o.ctx, n, o.Workers, 0, func(i int, _ uint64) (R, error) {
+		if o.Progress != nil {
 			defer o.Progress()
-			fn(i)
 		}
+		return point(i)
+	})
+}
+
+// simConfig returns the sim.Config fields every simulation task takes
+// from o: the ctx, the windows, ConvergeStop and the seed
+// o.seedFor(id, point, replicate). Callers add the switch, traffic and
+// load.
+func (o Opts) simConfig(id string, point, replicate int) sim.Config {
+	return sim.Config{
+		Ctx: o.ctx, Warmup: o.Warmup, Measure: o.Measure,
+		Seed: o.seedFor(id, point, replicate), ConvergeStop: o.ConvergeStop,
 	}
-	pool.DoCtx(o.Ctx, n, o.Workers, task)
 }
 
 // seedFor derives the PRNG seed of one simulation task from the base

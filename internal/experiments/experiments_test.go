@@ -39,6 +39,24 @@ func cell(t *testing.T, tb *Table, rowLabel, col string) string {
 	return ""
 }
 
+// mustRun runs r at o and fails the test on a runner error.
+func mustRun(t *testing.T, r Runner, o Opts) *Table {
+	t.Helper()
+	tb, err := r(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// quickAt runs r at QuickOpts fidelity on the given worker count.
+func quickAt(t *testing.T, r Runner, workers int) *Table {
+	t.Helper()
+	o := QuickOpts()
+	o.Workers = workers
+	return mustRun(t, r, o)
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := &Table{
 		ID: "x", Title: "demo",
@@ -86,7 +104,7 @@ func TestDesignConfigStrings(t *testing.T) {
 }
 
 func TestTableIVClaims(t *testing.T) {
-	tb := TableIV(QuickOpts())
+	tb := mustRun(t, TableIV, QuickOpts())
 	tput := func(name string) float64 { return atof(t, cell(t, tb, name, "Tput(Tbps)")) }
 
 	c4, c2, c1 := tput("3D 4-Channel"), tput("3D 2-Channel"), tput("3D 1-Channel")
@@ -122,7 +140,7 @@ func TestTableIVClaims(t *testing.T) {
 func TestTableIVReplicatedClaims(t *testing.T) {
 	o := QuickOpts()
 	o.Warmup, o.Measure = 1000, 4000
-	tb := TableIVReplicated(o)
+	tb := mustRun(t, TableIVReplicated, o)
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
@@ -140,7 +158,7 @@ func TestTableIVReplicatedClaims(t *testing.T) {
 }
 
 func TestTableVClaims(t *testing.T) {
-	tb := TableV(QuickOpts())
+	tb := mustRun(t, TableV, QuickOpts())
 	clrg := atof(t, cell(t, tb, "3D CLRG", "Tput(Tbps)"))
 	l2l := atof(t, cell(t, tb, "3D L-2-L LRG", "Tput(Tbps)"))
 	d2 := atof(t, cell(t, tb, "2D", "Tput(Tbps)"))
@@ -160,7 +178,7 @@ func TestTableVClaims(t *testing.T) {
 
 func TestFig9Tables(t *testing.T) {
 	o := QuickOpts()
-	a, b, c := Fig9a(o), Fig9b(o), Fig9c(o)
+	a, b, c := mustRun(t, Fig9a, o), mustRun(t, Fig9b, o), mustRun(t, Fig9c, o)
 	if len(a.Rows) != 8 || len(a.Header) != 5 {
 		t.Errorf("fig9a shape %dx%d", len(a.Rows), len(a.Header))
 	}
@@ -184,7 +202,7 @@ func TestFig9Tables(t *testing.T) {
 }
 
 func TestFig10Claims(t *testing.T) {
-	tb := Fig10(QuickOpts())
+	tb := mustRun(t, Fig10, QuickOpts())
 	// Zero-load (lowest load row): every 3D latency beats 2D by ~20%.
 	row := tb.Rows[0]
 	d2 := atof(t, row[1])
@@ -219,7 +237,7 @@ func TestFig11aClaims(t *testing.T) {
 	// estimate needs a long window before its spread is smaller than the
 	// effect under test.
 	o.Warmup, o.Measure = 2000, 20000
-	tb := Fig11a(o)
+	tb := mustRun(t, Fig11a, o)
 	if len(tb.Rows) != 64 {
 		t.Fatalf("fig11a rows %d, want 64", len(tb.Rows))
 	}
@@ -243,7 +261,7 @@ func TestFig11aClaims(t *testing.T) {
 }
 
 func TestFig11cClaims(t *testing.T) {
-	tb := Fig11c(QuickOpts())
+	tb := mustRun(t, Fig11c, QuickOpts())
 	if len(tb.Rows) != 5 {
 		t.Fatalf("fig11c rows %d", len(tb.Rows))
 	}
@@ -283,7 +301,7 @@ func TestFig11cClaims(t *testing.T) {
 }
 
 func TestFig12Claims(t *testing.T) {
-	tb := Fig12(QuickOpts())
+	tb := mustRun(t, Fig12, QuickOpts())
 	if tb.Rows[0][0] != "0.8" {
 		t.Fatalf("first pitch %s", tb.Rows[0][0])
 	}
@@ -303,7 +321,7 @@ func TestFig12Claims(t *testing.T) {
 }
 
 func TestCornerCaseClaim(t *testing.T) {
-	tb := CornerCase(QuickOpts())
+	tb := mustRun(t, CornerCase, QuickOpts())
 	frac := atof(t, tb.Rows[1][2])
 	if frac < 0.2 || frac > 0.3 {
 		t.Errorf("worst-case fraction %.2f, want ~0.25", frac)
@@ -311,7 +329,7 @@ func TestCornerCaseClaim(t *testing.T) {
 }
 
 func TestDiscussionDerivation(t *testing.T) {
-	tb := Discussion(QuickOpts())
+	tb := mustRun(t, Discussion, QuickOpts())
 	// Hi-Rise saving over flattened butterfly should be ~58%.
 	sav := atof(t, cell(t, tb, "Flattened butterfly (derived)", "vs Hi-Rise"))
 	if sav < 0.5 || sav > 0.65 {
@@ -323,7 +341,7 @@ func TestDiscussionDerivation(t *testing.T) {
 }
 
 func TestTableVIClaims(t *testing.T) {
-	tb := TableVI(QuickOpts())
+	tb := mustRun(t, TableVI, QuickOpts())
 	if len(tb.Rows) != 9 { // 8 mixes + average row
 		t.Fatalf("table6 rows %d", len(tb.Rows))
 	}
@@ -349,7 +367,7 @@ func TestTableVIClaims(t *testing.T) {
 func TestTableVIAddrClaims(t *testing.T) {
 	o := QuickOpts()
 	o.Warmup, o.Measure = 1000, 4000
-	tb := TableVIAddr(o)
+	tb := mustRun(t, TableVIAddr, o)
 	if len(tb.Rows) != 9 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
@@ -370,7 +388,7 @@ func TestTableVIAddrClaims(t *testing.T) {
 func TestTableVIDetailClaims(t *testing.T) {
 	o := QuickOpts()
 	o.Warmup, o.Measure = 1000, 4000
-	tb := TableVIDetail(o)
+	tb := mustRun(t, TableVIDetail, o)
 	if len(tb.Rows) < 6 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
@@ -391,7 +409,7 @@ func TestAblations(t *testing.T) {
 	o := QuickOpts()
 	o.Warmup, o.Measure = 1000, 4000
 
-	cls := AblateClasses(o)
+	cls := mustRun(t, AblateClasses, o)
 	if len(cls.Rows) != 5 {
 		t.Fatalf("class rows %d", len(cls.Rows))
 	}
@@ -400,7 +418,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("3-class Jain %.3f, want ~1", j)
 	}
 
-	alloc := AblateAlloc(o)
+	alloc := mustRun(t, AblateAlloc, o)
 	// Priority allocation must beat input binning on the bin-adversarial
 	// pattern, where every active input hashes to the same channel.
 	bi := -1
@@ -425,17 +443,17 @@ func TestAblations(t *testing.T) {
 		t.Errorf("priority (%.1f) should far exceed input binning (%.1f) on bin-adversarial traffic", pri, inp)
 	}
 
-	vcs := AblateVCs(o)
+	vcs := mustRun(t, AblateVCs, o)
 	// More VCs should not reduce saturation utilization.
 	if one, four := atof(t, vcs.Rows[0][1]), atof(t, vcs.Rows[2][1]); four < one {
 		t.Errorf("4 VCs (%.3f) below 1 VC (%.3f)", four, one)
 	}
 
-	if b := AblateBursty(o); len(b.Rows) != 4 {
+	if b := mustRun(t, AblateBursty, o); len(b.Rows) != 4 {
 		t.Errorf("bursty rows %d", len(b.Rows))
 	}
 
-	islip := AblateISLIP(o)
+	islip := mustRun(t, AblateISLIP, o)
 	// iSLIP-1 must show the L-2-L LRG bias (input 20, last row, dwarfs
 	// input 3) while CLRG equalizes.
 	if in20, in3 := atof(t, islip.Rows[4][2]), atof(t, islip.Rows[0][2]); in20 < 2.5*in3 {
@@ -447,7 +465,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestAblateQoSShares(t *testing.T) {
-	tb := AblateQoS(QuickOpts())
+	tb := mustRun(t, AblateQoS, QuickOpts())
 	for _, row := range tb.Rows {
 		got, want := atof(t, row[1]), atof(t, row[2])
 		if math.Abs(got-want) > 0.03 {
@@ -459,7 +477,7 @@ func TestAblateQoSShares(t *testing.T) {
 func TestLocalityClaims(t *testing.T) {
 	o := QuickOpts()
 	o.Warmup, o.Measure = 1000, 4000
-	tb := Locality(o)
+	tb := mustRun(t, Locality, o)
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
@@ -480,7 +498,7 @@ func TestLocalityClaims(t *testing.T) {
 }
 
 func TestBreakdownExperiment(t *testing.T) {
-	tb := CostBreakdown(QuickOpts())
+	tb := mustRun(t, CostBreakdown, QuickOpts())
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
@@ -493,7 +511,7 @@ func TestBreakdownExperiment(t *testing.T) {
 }
 
 func TestCacheMPKIExperiment(t *testing.T) {
-	tb := CacheMPKI(QuickOpts())
+	tb := mustRun(t, CacheMPKI, QuickOpts())
 	for _, row := range tb.Rows {
 		catalog, measured := atof(t, row[1]), atof(t, row[3])
 		if math.Abs(measured-catalog) > 0.2*catalog+0.5 {
@@ -505,7 +523,7 @@ func TestCacheMPKIExperiment(t *testing.T) {
 func TestAblatePacketLength(t *testing.T) {
 	o := QuickOpts()
 	o.Warmup, o.Measure = 1000, 4000
-	tb := AblatePacketLength(o)
+	tb := mustRun(t, AblatePacketLength, o)
 	// Saturation utilization must rise with packet length; latency too.
 	for i := 1; i < len(tb.Rows); i++ {
 		if atof(t, tb.Rows[i][2]) <= atof(t, tb.Rows[i-1][2]) {
@@ -520,7 +538,7 @@ func TestAblatePacketLength(t *testing.T) {
 func TestKilocoreClaims(t *testing.T) {
 	o := QuickOpts()
 	o.Warmup, o.Measure = 1000, 4000
-	tb := Kilocore(o)
+	tb := mustRun(t, Kilocore, o)
 	if len(tb.Rows) != 3 { // Hi-Rise mesh, flattened butterfly, flat mesh
 		t.Fatalf("rows %d", len(tb.Rows))
 	}

@@ -70,51 +70,40 @@ func fabricRows() []fabricRow {
 // with the invariant checker on — every simulated cycle self-checks
 // credit conservation, VC-band occupancy, and flit conservation, and
 // the always-on watchdog turns any deadlock into a loud error.
-func Fabric(o Opts) *Table {
+func Fabric(o Opts) (*Table, error) {
 	o = o.norm()
 	rows := fabricRows()
-	type cell struct {
-		low fabric.Result
-		sat fabric.Result
-	}
-	cells := make([]cell, len(rows))
-	o.sweep(len(rows)*2, func(k int) {
-		ri, rep := k/2, k%2
+	// Two tasks per row: k = 2*row is the 10% load point, k+1 the
+	// saturated one.
+	loads := [2]float64{0.1, 1.0}
+	res, err := sweep(o, len(rows)*len(loads), func(k int) (fabric.Result, error) {
+		ri, rep := k/len(loads), k%len(loads)
 		r := rows[ri]
-		load := 0.1
-		if rep == 1 {
-			load = 1.0
-		}
-		cfg := fabric.Config{
+		return fabric.Run(fabric.Config{
 			Topo: r.topo, Routing: r.routing,
 			Traffic: fabricTraffic(r.traffic, r.topo),
-			Load:    load,
+			Load:    loads[rep],
 			Warmup:  o.Warmup, Measure: o.Measure,
 			Seed:  o.seedFor("fabric", ri, rep),
-			Check: true, Ctx: o.Ctx,
-		}
-		res, err := fabric.Run(cfg)
-		if err != nil {
-			panic(err)
-		}
-		if rep == 0 {
-			cells[ri].low = res
-		} else {
-			cells[ri].sat = res
-		}
+			Check: true, Ctx: o.ctx,
+		})
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		cores := float64(r.topo.Nodes() * r.topo.Concentration())
+		low, sat := res[2*i], res[2*i+1]
 		out[i] = []string{
 			r.name,
 			fmt.Sprintf("%d", int(cores)),
 			r.routing.String(),
 			r.traffic,
-			f(cells[i].low.AvgLatency, 1),
-			f(cells[i].low.AvgHops, 2),
-			f(cells[i].sat.AcceptedPackets/cores, 3),
+			f(low.AvgLatency, 1),
+			f(low.AvgHops, 2),
+			f(sat.AcceptedPackets/cores, 3),
 		}
 	}
 	return &Table{
@@ -128,7 +117,7 @@ func Fabric(o Opts) *Table {
 			"shift = half-fabric bisection shift; group-shift = one-dragonfly-group shift (all-global traffic)",
 			"Valiant trades low-load latency (~2x hops) for adversarial-traffic throughput",
 		},
-	}
+	}, nil
 }
 
 // fabricDegradationSteps are the nested (links, routers) fail-set sizes
@@ -161,20 +150,11 @@ func fabricDegradationTopos() []struct {
 // fabrics with the checker on. Link faults reroute onto surviving lanes
 // (throughput degrades monotonically, no dead flows); router faults
 // sever flows, which retire as dead flows instead of wedging the run.
-func FabricDegradation(o Opts) *Table {
+func FabricDegradation(o Opts) (*Table, error) {
 	o = o.norm()
 	topos := fabricDegradationTopos()
 	steps := fabricDegradationSteps
-	type cell struct {
-		tput float64
-		p99  float64
-		dead int64
-	}
-	cells := make([][]cell, len(steps))
-	for i := range cells {
-		cells[i] = make([]cell, len(topos))
-	}
-	o.sweep(len(steps)*len(topos), func(k int) {
+	cells, err := sweep(o, len(steps)*len(topos), func(k int) (fabric.Result, error) {
 		si, ti := k/len(topos), k%len(topos)
 		tp := topos[ti]
 		var fs *fabric.FaultSet
@@ -183,12 +163,12 @@ func FabricDegradation(o Opts) *Table {
 				Seed: o.Seed, FailLinks: s.links, FailRouters: s.routers,
 			}.Build(tp.topo)
 			if err != nil {
-				panic(err)
+				return fabric.Result{}, err
 			}
 			fs = built
 		}
 		cores := tp.topo.Nodes() * tp.topo.Concentration()
-		res, err := fabric.Run(fabric.Config{
+		return fabric.Run(fabric.Config{
 			Topo: tp.topo, Routing: fabric.Minimal,
 			Traffic: traffic.Uniform{Radix: cores},
 			Load:    0.9,
@@ -196,20 +176,19 @@ func FabricDegradation(o Opts) *Table {
 			// The seed depends on the topology only: every row of a column
 			// sees the same offered traffic as well as nested fail-sets.
 			Seed:   o.seedFor("fabric-degradation", ti, 0),
-			Faults: fs, Check: true, Ctx: o.Ctx,
+			Faults: fs, Check: true, Ctx: o.ctx,
 		})
-		if err != nil {
-			panic(err)
-		}
-		cells[si][ti] = cell{res.AcceptedPackets, res.P99Latency, res.DeadFlows}
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([][]string, len(steps))
 	for si, s := range steps {
 		row := []string{fmt.Sprintf("%d/%d", s.links, s.routers)}
 		for ti := range topos {
-			c := cells[si][ti]
-			row = append(row, f(c.tput, 2), f(c.p99, 0), fmt.Sprintf("%d", c.dead))
+			c := cells[si*len(topos)+ti]
+			row = append(row, f(c.AcceptedPackets, 2), f(c.P99Latency, 0), fmt.Sprintf("%d", c.DeadFlows))
 		}
 		rows[si] = row
 	}
@@ -228,5 +207,5 @@ func FabricDegradation(o Opts) *Table {
 			"router fail-stops sever flows; severed packets retire as dead flows instead of deadlocking",
 			"invariant checker on for every run",
 		},
-	}
+	}, nil
 }

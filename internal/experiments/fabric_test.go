@@ -6,12 +6,6 @@ import (
 	"testing"
 )
 
-func fabricQuick(workers int) *Table {
-	o := QuickOpts()
-	o.Workers = workers
-	return Fabric(o)
-}
-
 // TestFabricCampaignRuns smoke-runs the whole campaign at quick
 // fidelity — with Check on in every row, a passing run certifies credit
 // conservation, VC-band occupancy, flit conservation, and deadlock
@@ -20,7 +14,7 @@ func TestFabricCampaignRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fabric campaign")
 	}
-	tbl := fabricQuick(0)
+	tbl := quickAt(t, Fabric, 0)
 	if len(tbl.Rows) != len(fabricRows()) {
 		t.Fatalf("expected %d rows, got %d:\n%s", len(fabricRows()), len(tbl.Rows), tbl)
 	}
@@ -41,18 +35,12 @@ func TestFabricDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker campaign sweep")
 	}
-	want := fabricQuick(1)
+	want := quickAt(t, Fabric, 1)
 	for _, w := range []int{3, 8} {
-		if got := fabricQuick(w); !reflect.DeepEqual(want, got) {
+		if got := quickAt(t, Fabric, w); !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d diverged from serial:\n%s\nvs\n%s", w, want, got)
 		}
 	}
-}
-
-func fabricDegradationQuick(workers int) *Table {
-	o := QuickOpts()
-	o.Workers = workers
-	return FabricDegradation(o)
 }
 
 // TestFabricDegradationMonotone requires throughput to decline (never
@@ -66,7 +54,7 @@ func TestFabricDegradationMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("degradation campaign sweep")
 	}
-	tbl := fabricDegradationQuick(0)
+	tbl := quickAt(t, FabricDegradation, 0)
 	if len(tbl.Rows) != len(fabricDegradationSteps) {
 		t.Fatalf("expected %d rows, got %d", len(fabricDegradationSteps), len(tbl.Rows))
 	}
@@ -112,8 +100,8 @@ func TestFabricDegradationDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker campaign sweep")
 	}
-	want := fabricDegradationQuick(1)
-	if got := fabricDegradationQuick(4); !reflect.DeepEqual(want, got) {
+	want := quickAt(t, FabricDegradation, 1)
+	if got := quickAt(t, FabricDegradation, 4); !reflect.DeepEqual(want, got) {
 		t.Fatalf("workers=4 diverged from serial:\n%s\nvs\n%s", want, got)
 	}
 }

@@ -26,74 +26,80 @@ func hiriseAt(radix, layers, channels int, scheme topo.Scheme) Design {
 // Fig9a reproduces paper Fig 9(a): operating frequency versus radix for
 // the 2D switch and the 4-layer 3D switch at channel multiplicities
 // 1, 2, and 4.
-func Fig9a(o Opts) *Table {
+func Fig9a(o Opts) (*Table, error) {
 	o = o.norm()
 	radices := []int{16, 32, 48, 64, 80, 96, 112, 128}
-	rows := make([][]string, len(radices))
-	o.sweep(len(radices), func(i int) {
+	rows, err := sweep(o, len(radices), func(i int) ([]string, error) {
 		n := radices[i]
-		rows[i] = []string{
+		return []string{
 			fmt.Sprintf("%d", n),
 			f(phys.Flat2D(n, o.Tech).FreqGHz, 2),
 			f(hiriseAt(n, 4, 4, topo.L2LLRG).Cost(o.Tech).FreqGHz, 2),
 			f(hiriseAt(n, 4, 2, topo.L2LLRG).Cost(o.Tech).FreqGHz, 2),
 			f(hiriseAt(n, 4, 1, topo.L2LLRG).Cost(o.Tech).FreqGHz, 2),
-		}
+		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "fig9a",
 		Title:  "Frequency (GHz) vs radix, 4-layer 3D switch",
 		Header: []string{"Radix", "2D", "3D 4-Ch", "3D 2-Ch", "3D 1-Ch"},
 		Rows:   rows,
 		Notes:  []string{"paper: 2D fastest at low radix; beyond radix 32 all 3D variants are faster, gap widening"},
-	}
+	}, nil
 }
 
 // Fig9b reproduces paper Fig 9(b): frequency versus number of stacked
 // silicon layers for radices 48, 64, 80, and 128 (4-channel).
-func Fig9b(o Opts) *Table {
+func Fig9b(o Opts) (*Table, error) {
 	o = o.norm()
-	rows := make([][]string, 6)
-	o.sweep(len(rows), func(i int) {
+	rows, err := sweep(o, 6, func(i int) ([]string, error) {
 		layers := i + 2
 		row := []string{fmt.Sprintf("%d", layers)}
 		for _, radix := range []int{48, 64, 80, 128} {
 			row = append(row, f(hiriseAt(radix, layers, 4, topo.L2LLRG).Cost(o.Tech).FreqGHz, 2))
 		}
-		rows[i] = row
+		return row, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "fig9b",
 		Title:  "Frequency (GHz) vs number of silicon layers (4-channel)",
 		Header: []string{"Layers", "Radix 48", "Radix 64", "Radix 80", "Radix 128"},
 		Rows:   rows,
 		Notes:  []string{"paper: radix-64 peaks at 3-5 layers; smaller radix peaks earlier, larger later"},
-	}
+	}, nil
 }
 
 // Fig9c reproduces paper Fig 9(c): energy per 128-bit transaction versus
 // radix.
-func Fig9c(o Opts) *Table {
+func Fig9c(o Opts) (*Table, error) {
 	o = o.norm()
 	radices := []int{16, 32, 48, 64, 80, 96, 112, 128}
-	rows := make([][]string, len(radices))
-	o.sweep(len(radices), func(i int) {
+	rows, err := sweep(o, len(radices), func(i int) ([]string, error) {
 		n := radices[i]
-		rows[i] = []string{
+		return []string{
 			fmt.Sprintf("%d", n),
 			f(phys.Flat2D(n, o.Tech).EnergyPJ, 1),
 			f(hiriseAt(n, 4, 4, topo.L2LLRG).Cost(o.Tech).EnergyPJ, 1),
 			f(hiriseAt(n, 4, 2, topo.L2LLRG).Cost(o.Tech).EnergyPJ, 1),
 			f(hiriseAt(n, 4, 1, topo.L2LLRG).Cost(o.Tech).EnergyPJ, 1),
-		}
+		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "fig9c",
 		Title:  "Energy per 128-bit transaction (pJ) vs radix",
 		Header: []string{"Radix", "2D", "3D 4-Ch", "3D 2-Ch", "3D 1-Ch"},
 		Rows:   rows,
 		Notes:  []string{"paper: 3D energy grows at a more gradual slope than 2D"},
-	}
+	}, nil
 }
 
 // fig10Designs are the latency-curve configurations of paper Fig 10.
@@ -111,61 +117,40 @@ func fig10Designs() []Design {
 // rate (packets/input/ns) under uniform random traffic for the 2D,
 // Hi-Rise multi-channel, and folded configurations. Loads a design cannot
 // sustain print as "sat".
-func Fig10(o Opts) *Table {
+func Fig10(o Opts) (*Table, error) {
 	o = o.norm()
 	loads := []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35}
 	designs := fig10Designs()
 
 	// One pool task per (design, load) point: the sweep parallelizes
 	// across the whole grid, and each point draws its own derived seed.
-	cells := make([][]string, len(designs))
-	for di := range cells {
-		cells[di] = make([]string, len(loads))
-	}
-	o.sweep(len(designs)*len(loads), func(k int) {
-		di, li := k/len(loads), k%len(loads)
-		d := designs[di]
+	cells, err := sweep(o, len(designs)*len(loads), func(k int) (string, error) {
+		d := designs[k/len(loads)]
 		cost := d.Cost(o.Tech)
-		res, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  d.NewSwitch(),
-			Traffic: traffic.Uniform{Radix: d.Cfg.Radix},
-			Load:    loads[li] / cost.FreqGHz,
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("fig10", k, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
+		c := o.simConfig("fig10", k, 0)
+		c.Switch, c.Traffic, c.Load = d.NewSwitch(), traffic.Uniform{Radix: d.Cfg.Radix}, loads[k%len(loads)]/cost.FreqGHz
+		res, err := sim.Run(c)
 		if err != nil {
-			panic(err)
+			return "", err
 		}
 		if res.Saturated() {
-			cells[di][li] = "sat"
-		} else {
-			cells[di][li] = f(res.AvgLatency*cost.CycleNS(), 2)
+			return "sat", nil
 		}
+		return f(res.AvgLatency*cost.CycleNS(), 2), nil
 	})
-
-	rows := make([][]string, len(loads))
-	for li, l := range loads {
-		row := []string{f(l, 2)}
-		for di := range designs {
-			row = append(row, cells[di][li])
-		}
-		rows[li] = row
-	}
-	header := []string{"Load(pkt/in/ns)"}
-	for _, d := range designs {
-		header = append(header, d.Name)
+	if err != nil {
+		return nil, err
 	}
 	return &Table{
 		ID:     "fig10",
 		Title:  "Latency (ns) vs load, uniform random traffic",
-		Header: header,
-		Rows:   rows,
+		Header: designHeader("Load(pkt/in/ns)", designs),
+		Rows:   byColumn(loads, cells),
 		Notes: []string{
 			"\"sat\" marks loads past that design's saturation point",
 			"paper: 1-channel saturates first; 3D zero-load latency ~20% below 2D",
 		},
-	}
+	}, nil
 }
 
 // arbitrationDesigns are the four schemes compared in paper Fig 11. The
@@ -184,7 +169,7 @@ func arbitrationDesigns() []Design {
 // under hotspot traffic — every input requesting output 63 — at 80% of
 // the hotspot saturation load. L-2-L LRG starves the hot output's local
 // layer; CLRG and WLRG equalize it.
-func Fig11a(o Opts) *Table {
+func Fig11a(o Opts) (*Table, error) {
 	o = o.norm()
 	designs := arbitrationDesigns()
 	// One output accepts 1 packet per PacketFlits+1 cycles = 0.2
@@ -194,21 +179,16 @@ func Fig11a(o Opts) *Table {
 	// operating region Fig 11(a) shows.
 	const load = 0.95 * 0.2 / 64
 
-	lat := make([][]float64, len(designs))
-	o.sweep(len(designs), func(di int) {
-		res, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  designs[di].NewSwitch(),
-			Traffic: traffic.Hotspot{Target: 63},
-			Load:    load,
-			Warmup:  o.Warmup * 4, Measure: o.Measure * 4, Seed: o.seedFor("fig11a", di, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
-		if err != nil {
-			panic(err)
-		}
-		lat[di] = res.PerInputLatency
+	lat, err := sweep(o, len(designs), func(di int) ([]float64, error) {
+		c := o.simConfig("fig11a", di, 0)
+		c.Switch, c.Traffic, c.Load = designs[di].NewSwitch(), traffic.Hotspot{Target: 63}, load
+		c.Warmup, c.Measure = o.Warmup*4, o.Measure*4
+		res, err := sim.Run(c)
+		return res.PerInputLatency, err
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([][]string, 64)
 	for in := 0; in < 64; in++ {
@@ -218,14 +198,10 @@ func Fig11a(o Opts) *Table {
 		}
 		rows[in] = row
 	}
-	header := []string{"Input"}
-	for _, d := range designs {
-		header = append(header, d.Name)
-	}
 	t := &Table{
 		ID:     "fig11a",
 		Title:  "Per-input latency (cycles), hotspot to output 63 @ 95% of the hot output's capacity",
-		Header: header,
+		Header: designHeader("Input", designs),
 		Rows:   rows,
 	}
 	for di, d := range designs {
@@ -236,91 +212,65 @@ func Fig11a(o Opts) *Table {
 			d.Name, remote, local))
 	}
 	t.Notes = append(t.Notes, "paper: L-2-L LRG local inputs see ~4x latency; CLRG restores flat-2D fairness")
-	return t
+	return t, nil
 }
 
 // Fig11b reproduces paper Fig 11(b): aggregate throughput (packets/ns)
 // versus offered load (packets/input/ns) under uniform random traffic for
 // the four arbitration schemes.
-func Fig11b(o Opts) *Table {
+func Fig11b(o Opts) (*Table, error) {
 	o = o.norm()
 	loads := []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45}
 	designs := arbitrationDesigns()
 
-	cells := make([][]string, len(designs))
-	for di := range cells {
-		cells[di] = make([]string, len(loads))
-	}
-	o.sweep(len(designs)*len(loads), func(k int) {
-		di, li := k/len(loads), k%len(loads)
-		d := designs[di]
+	cells, err := sweep(o, len(designs)*len(loads), func(k int) (string, error) {
+		d := designs[k/len(loads)]
 		cost := d.Cost(o.Tech)
-		res, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  d.NewSwitch(),
-			Traffic: traffic.Uniform{Radix: 64},
-			Load:    loads[li] / cost.FreqGHz,
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("fig11b", k, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
-		if err != nil {
-			panic(err)
-		}
-		cells[di][li] = f(res.AcceptedPackets*cost.FreqGHz, 2)
+		c := o.simConfig("fig11b", k, 0)
+		c.Switch, c.Traffic, c.Load = d.NewSwitch(), traffic.Uniform{Radix: 64}, loads[k%len(loads)]/cost.FreqGHz
+		res, err := sim.Run(c)
+		return f(res.AcceptedPackets*cost.FreqGHz, 2), err
 	})
-
-	rows := make([][]string, len(loads))
-	for li, l := range loads {
-		row := []string{f(l, 2)}
-		for di := range designs {
-			row = append(row, cells[di][li])
-		}
-		rows[li] = row
-	}
-	header := []string{"Load(pkt/in/ns)"}
-	for _, d := range designs {
-		header = append(header, d.Name)
+	if err != nil {
+		return nil, err
 	}
 	return &Table{
 		ID:     "fig11b",
 		Title:  "Throughput (packets/ns) vs load, uniform random traffic, arbitration schemes",
-		Header: header,
-		Rows:   rows,
+		Header: designHeader("Load(pkt/in/ns)", designs),
+		Rows:   byColumn(loads, cells),
 		Notes: []string{
 			"paper: all 3D schemes ~15% above 2D; CLRG marginally below L-2-L LRG (2.2 vs 2.24 GHz)",
 		},
-	}
+	}, nil
 }
 
 // Fig11c reproduces paper Fig 11(c): per-input throughput (packets/ns) of
 // the adversarial pattern's five requesting inputs. L-2-L LRG hands input
 // 20 half the output; WLRG and CLRG equalize all five at one fifth.
-func Fig11c(o Opts) *Table {
+func Fig11c(o Opts) (*Table, error) {
 	o = o.norm()
 	designs := arbitrationDesigns()
 	inputs := []int{3, 7, 11, 15, 20}
 
-	tput := make([][]float64, len(designs))
-	o.sweep(len(designs), func(di int) {
+	tput, err := sweep(o, len(designs), func(di int) ([]float64, error) {
 		d := designs[di]
 		cost := d.Cost(o.Tech)
-		res, err := sim.Run(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  d.NewSwitch(),
-			Traffic: traffic.Adversarial(),
-			Load:    1.0,
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("fig11c", di, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
+		c := o.simConfig("fig11c", di, 0)
+		c.Switch, c.Traffic, c.Load = d.NewSwitch(), traffic.Adversarial(), 1.0
+		res, err := sim.Run(c)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		col := make([]float64, len(inputs))
 		for i, in := range inputs {
 			col[i] = res.PerInputPackets[in] * cost.FreqGHz
 		}
-		tput[di] = col
+		return col, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([][]string, len(inputs))
 	for i, in := range inputs {
@@ -330,39 +280,37 @@ func Fig11c(o Opts) *Table {
 		}
 		rows[i] = row
 	}
-	header := []string{"Input"}
-	for _, d := range designs {
-		header = append(header, d.Name)
-	}
 	return &Table{
 		ID:     "fig11c",
 		Title:  "Per-input throughput (packets/ns), adversarial pattern {3,7,11,15 on L1; 20 on L2} -> output 63",
-		Header: header,
+		Header: designHeader("Input", designs),
 		Rows:   rows,
 		Notes:  []string{"paper: L-2-L LRG gives input 20 ~half the output; WLRG/CLRG give each input ~1/5"},
-	}
+	}, nil
 }
 
 // Fig12 reproduces paper Fig 12: Hi-Rise frequency and area sensitivity
 // to TSV pitch (64-radix, 4-channel, 4 layers, CLRG), with the 2D switch
 // as the flat reference.
-func Fig12(o Opts) *Table {
+func Fig12(o Opts) (*Table, error) {
 	o = o.norm()
 	pitches := []float64{0.8, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0}
 	d2 := phys.Flat2D(64, o.Tech)
-	rows := make([][]string, len(pitches))
-	o.sweep(len(pitches), func(i int) {
+	rows, err := sweep(o, len(pitches), func(i int) ([]string, error) {
 		p := pitches[i]
 		tech := o.Tech
 		tech.TSVPitchUM = p
 		c := designHiRise("", 4, topo.CLRG).Cost(tech)
-		rows[i] = []string{f(p, 1), f(c.FreqGHz, 2), f(c.AreaMM2, 3), f(d2.FreqGHz, 2), f(d2.AreaMM2, 3)}
+		return []string{f(p, 1), f(c.FreqGHz, 2), f(c.AreaMM2, 3), f(d2.FreqGHz, 2), f(d2.AreaMM2, 3)}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "fig12",
 		Title:  "Sensitivity to TSV pitch (64-radix 4-channel 4-layer Hi-Rise, CLRG)",
 		Header: []string{"Pitch(um)", "Freq(GHz)", "Area(mm2)", "2D Freq", "2D Area"},
 		Rows:   rows,
 		Notes:  []string{"paper: +25% pitch costs only 1.67% area and 1.8% frequency"},
-	}
+	}, nil
 }

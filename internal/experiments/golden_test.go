@@ -21,7 +21,7 @@ func TestGoldenPhysExperiments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := r(QuickOpts()).String()
+			got := mustRun(t, r, QuickOpts()).String()
 			path := filepath.Join("testdata", id+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/reprolab/hirise/internal/core"
-	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/fabric"
 	"github.com/reprolab/hirise/internal/phys"
 	"github.com/reprolab/hirise/internal/sim"
@@ -20,7 +18,7 @@ func init() { register("kilocore", Kilocore) }
 // core count. High-radix concentrated nodes cut the hop count enough to
 // win on latency despite their slower clock, which is the argument for
 // high-radix topologies the paper inherits from [4,5].
-func Kilocore(o Opts) *Table {
+func Kilocore(o Opts) (*Table, error) {
 	o = o.norm()
 
 	type topology struct {
@@ -30,11 +28,10 @@ func Kilocore(o Opts) *Table {
 		ghz       float64
 	}
 
-	hirise := topo.Config{Radix: 64, Layers: 4, Channels: 4,
-		Alloc: topo.InputBinned, Scheme: topo.CLRG, Classes: 3}
-	hirisePhys := phys.HiRise(hirise, o.Tech)
-	lowRadix := 7 // 3 cores + 4 single link ports
-	lowPhys := phys.Flat2D(lowRadix, o.Tech)
+	hirise := designHiRise("", 4, topo.CLRG)
+	hirisePhys := hirise.Cost(o.Tech)
+	lowRadix := design2D(7) // 3 cores + 4 single link ports
+	lowPhys := lowRadix.Cost(o.Tech)
 
 	// The flattened butterfly the paper compares against (§VI-E): same
 	// 4x4 grid and concentration, but 2D Swizzle-Switch nodes with
@@ -44,16 +41,10 @@ func Kilocore(o Opts) *Table {
 
 	tops := []topology{
 		{
-			name: "4x4 mesh of Hi-Rise 64 (48 cores/node)",
-			topo: fabric.Mesh{W: 4, H: 4, Conc: 48, Lanes: 4},
-			newSwitch: func() sim.Switch {
-				sw, err := core.New(hirise)
-				if err != nil {
-					panic(err)
-				}
-				return sw
-			},
-			ghz: hirisePhys.FreqGHz,
+			name:      "4x4 mesh of Hi-Rise 64 (48 cores/node)",
+			topo:      fabric.Mesh{W: 4, H: 4, Conc: 48, Lanes: 4},
+			newSwitch: hirise.NewSwitch,
+			ghz:       hirisePhys.FreqGHz,
 		},
 		{
 			name: "4x4 flattened butterfly of 2D radix-60",
@@ -63,7 +54,7 @@ func Kilocore(o Opts) *Table {
 		{
 			name:      "16x16 mesh of 2D radix-7 (3 cores/node)",
 			topo:      fabric.Mesh{W: 16, H: 16, Conc: 3, Lanes: 1},
-			newSwitch: func() sim.Switch { return crossbar.New(lowRadix) },
+			newSwitch: lowRadix.NewSwitch,
 			ghz:       lowPhys.FreqGHz,
 		},
 	}
@@ -71,11 +62,10 @@ func Kilocore(o Opts) *Table {
 	// Each topology runs at 1% load (latency, hops) and fully backlogged
 	// (saturation throughput), as independent sweep tasks.
 	loads := [2]float64{0.01, 1.0}
-	results := make([][2]fabric.Result, len(tops))
-	o.sweep(len(tops)*len(loads), func(k int) {
+	results, err := sweep(o, len(tops)*len(loads), func(k int) (fabric.Result, error) {
 		ti, rep := k/len(loads), k%len(loads)
 		tp := tops[ti]
-		res, err := fabric.Run(fabric.Config{
+		return fabric.Run(fabric.Config{
 			Topo:      tp.topo,
 			NewSwitch: tp.newSwitch,
 			Traffic:   traffic.Uniform{Radix: tp.topo.Nodes() * tp.topo.Concentration()},
@@ -86,18 +76,17 @@ func Kilocore(o Opts) *Table {
 			VCs: 1, VCBufPkts: 4,
 			Warmup: o.Warmup, Measure: o.Measure,
 			Seed:  o.seedFor("kilocore", ti, rep),
-			Check: true, Ctx: o.Ctx,
+			Check: true, Ctx: o.ctx,
 		})
-		if err != nil {
-			panic(err)
-		}
-		results[ti][rep] = res
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	energies := []float64{hirisePhys.EnergyPJ, fbPhys.EnergyPJ, lowPhys.EnergyPJ}
 	rows := make([][]string, len(tops))
 	for i, tp := range tops {
-		low, sat := results[i][0], results[i][1]
+		low, sat := results[2*i], results[2*i+1]
 		// Switch-traversal energy per 4-flit packet: each hop moves 4
 		// 128-bit transactions through one switch. Inter-node link wires
 		// are not modeled, which favours the low-radix mesh (it has ~3x
@@ -124,5 +113,5 @@ func Kilocore(o Opts) *Table {
 			"the flat mesh's higher saturation reflects its 16x node count and the optimistic low-radix clock; link wire energy/latency is unmodeled and would penalize its ~3x hop count further",
 			"uniform random traffic over all cores; store-and-forward per hop, credit flow control, one 4-packet buffer per input, checker on",
 		},
-	}
+	}, nil
 }

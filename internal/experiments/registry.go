@@ -6,8 +6,8 @@ import (
 )
 
 // Runner regenerates one paper artifact (or ablation) at the given
-// fidelity.
-type Runner func(Opts) *Table
+// fidelity, or returns the first error one of its simulations met.
+type Runner func(Opts) (*Table, error)
 
 // registry maps experiment IDs to runners. Table VI registers itself from
 // tablevi.go because it depends on the many-core model.

@@ -83,7 +83,7 @@ func shootoutPatterns() []shootoutPattern {
 // a few iterations, while the hierarchical ISLIP1 analog retains the
 // paper's §VII adversarial unfairness (input 20 dwarfing inputs
 // 3/7/11/15) that the flat VOQ schedulers do not exhibit.
-func SchedShootout(o Opts) *Table {
+func SchedShootout(o Opts) (*Table, error) {
 	o = o.norm()
 	variants := shootoutVariants()
 	patterns := shootoutPatterns()
@@ -95,23 +95,16 @@ func SchedShootout(o Opts) *Table {
 		maxMin float64
 		starve int64
 	}
-	cells := make([][][]cell, len(patterns))
-	for pi := range cells {
-		cells[pi] = make([][]cell, len(variants))
-		for vi := range cells[pi] {
-			cells[pi][vi] = make([]cell, nl)
-		}
-	}
-
-	o.sweep(len(patterns)*len(variants)*nl, func(k int) {
+	// Task k is (pattern, variant, load) in row-major order.
+	cells, err := sweep(o, len(patterns)*len(variants)*nl, func(k int) (cell, error) {
 		li := k % nl
 		vi := (k / nl) % len(variants)
 		pi := k / (nl * len(variants))
 		p, v, load := patterns[pi], variants[vi], shootoutLoads[li]
 
 		audit := obs.NewFairnessAudit(shootoutRadix, 1)
-		ob := &obs.Observer{Fairness: audit}
-		seed := o.seedFor("sched-shootout", k, 0)
+		cfg := o.simConfig("sched-shootout", k, 0)
+		cfg.Traffic, cfg.Load, cfg.Obs = p.make(), load, &obs.Observer{Fairness: audit}
 		var res sim.Result
 		var err error
 		if v.newSched == nil {
@@ -119,23 +112,18 @@ func SchedShootout(o Opts) *Table {
 			// single-cell packets so its flit and cell rates line up with
 			// the cell-based VOQ rows (its utilization still pays the
 			// hierarchical model's per-packet arbitration cycle).
-			d := designHiRise("analog", 1, topo.ISLIP1)
-			res, err = sim.Run(sim.Config{
-				Ctx: o.Ctx, Switch: d.NewSwitch(), Traffic: p.make(),
-				Load: load, PacketFlits: 1,
-				Warmup: o.Warmup, Measure: o.Measure, Seed: seed, Obs: ob,
-				ConvergeStop: o.ConvergeStop,
-			})
+			cfg.Switch, cfg.PacketFlits = designHiRise("analog", 1, topo.ISLIP1).NewSwitch(), 1
+			res, err = sim.Run(cfg)
 		} else {
 			res, err = sim.RunVOQ(sim.VOQConfig{
-				Ctx: o.Ctx, Radix: shootoutRadix, Sched: v.newSched(),
-				Traffic: p.make(), Load: load, Speedup: v.speedup,
-				Warmup: o.Warmup, Measure: o.Measure, Seed: seed, Obs: ob,
-				ConvergeStop: o.ConvergeStop,
+				Ctx: cfg.Ctx, Radix: shootoutRadix, Sched: v.newSched(),
+				Traffic: cfg.Traffic, Load: load, Speedup: v.speedup,
+				Warmup: cfg.Warmup, Measure: cfg.Measure, Seed: cfg.Seed, Obs: cfg.Obs,
+				ConvergeStop: cfg.ConvergeStop,
 			})
 		}
 		if err != nil {
-			panic(err)
+			return cell{}, err
 		}
 
 		c := cell{util: res.AcceptedPackets / (load * float64(len(p.active)))}
@@ -157,20 +145,24 @@ func SchedShootout(o Opts) *Table {
 		} else {
 			c.maxMin = math.Inf(1)
 		}
-		cells[pi][vi][li] = c
+		return c, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([][]string, 0, len(patterns)*len(variants))
 	for pi, p := range patterns {
 		for vi, v := range variants {
-			sat := cells[pi][vi][nl-1]
+			pv := cells[(pi*len(variants)+vi)*nl:][:nl]
+			sat := pv[nl-1]
 			ratio := "inf"
 			if !math.IsInf(sat.maxMin, 1) {
 				ratio = f(sat.maxMin, 2)
 			}
 			row := []string{p.name, v.name, f(float64(v.speedup), 0)}
 			for li := range shootoutLoads {
-				row = append(row, f(cells[pi][vi][li].util, 3))
+				row = append(row, f(pv[li].util, 3))
 			}
 			row = append(row, f(sat.jain, 3), ratio, f(float64(sat.starve), 0))
 			rows = append(rows, row)
@@ -193,5 +185,5 @@ func SchedShootout(o Opts) *Table {
 			"wavefront is positionally unfair on sparse fixed patterns: a contested output goes to the first active diagonal after the rotating start, so win shares follow the gaps between the contenders' diagonals (adversarial: 47:5:4:4:4 across inputs 20,3,7,11,15)",
 			"MWM is excluded: O(n^3) per cycle makes it the oracle for tests (internal/sched fuzzers), not a campaign contender",
 		},
-	}
+	}, nil
 }

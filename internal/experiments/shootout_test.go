@@ -22,7 +22,7 @@ func shootoutRow(t *testing.T, tb *Table, pattern, sched, s string) []string {
 // the paper's §VII adversarial unfairness that the flat VOQ schedulers
 // do not exhibit.
 func TestSchedShootoutPins(t *testing.T) {
-	tb := SchedShootout(QuickOpts())
+	tb := mustRun(t, SchedShootout, QuickOpts())
 	if len(tb.Rows) != 4*6 {
 		t.Fatalf("rows %d, want 24", len(tb.Rows))
 	}
@@ -73,7 +73,7 @@ func TestSchedShootoutWorkerInvariance(t *testing.T) {
 	serial, parallel := o, o
 	serial.Workers = 1
 	parallel.Workers = 4
-	a, b := SchedShootout(serial).String(), SchedShootout(parallel).String()
+	a, b := mustRun(t, SchedShootout, serial).String(), mustRun(t, SchedShootout, parallel).String()
 	if a != b {
 		t.Fatalf("worker-dependent table:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", a, b)
 	}

@@ -9,30 +9,29 @@ import (
 	"github.com/reprolab/hirise/internal/traffic"
 )
 
-// costRow measures one design's full table row: physical cost from phys
-// plus uniform-random saturation throughput from the simulator. seed is
-// the task's derived PRNG seed (see Opts.seedFor).
-func costRow(d Design, o Opts, seed uint64) []string {
-	cost := d.Cost(o.Tech)
-	flits, err := sim.SaturationThroughput(sim.Config{
-		Ctx:     o.Ctx,
-		Switch:  d.NewSwitch(),
-		Traffic: traffic.Uniform{Radix: d.Cfg.Radix},
-		Warmup:  o.Warmup, Measure: o.Measure, Seed: seed,
-		ConvergeStop: o.ConvergeStop,
+// costRows measures each design's full table row, one sweep task per
+// design: physical cost from phys plus uniform-random saturation
+// throughput from the simulator, seeded from the experiment id.
+func costRows(o Opts, id string, designs []Design) ([][]string, error) {
+	return sweep(o, len(designs), func(i int) ([]string, error) {
+		d := designs[i]
+		cost := d.Cost(o.Tech)
+		c := o.simConfig(id, i, 0)
+		c.Switch, c.Traffic = d.NewSwitch(), traffic.Uniform{Radix: d.Cfg.Radix}
+		flits, err := sim.SaturationThroughput(c)
+		if err != nil {
+			return nil, err
+		}
+		return []string{
+			d.Name,
+			d.ConfigString(),
+			f(cost.AreaMM2, 3),
+			f(cost.FreqGHz, 2),
+			f(cost.EnergyPJ, 0),
+			f(phys.Tbps(flits, cost, o.Tech), 2),
+			fmt.Sprintf("%d", cost.TSVs),
+		}, nil
 	})
-	if err != nil {
-		panic(err)
-	}
-	return []string{
-		d.Name,
-		d.ConfigString(),
-		f(cost.AreaMM2, 3),
-		f(cost.FreqGHz, 2),
-		f(cost.EnergyPJ, 0),
-		f(phys.Tbps(flits, cost, o.Tech), 2),
-		fmt.Sprintf("%d", cost.TSVs),
-	}
 }
 
 var costHeader = []string{"Design", "Configuration", "Area(mm2)", "Freq(GHz)", "E/trans(pJ)", "Tput(Tbps)", "#TSVs"}
@@ -40,11 +39,13 @@ var costHeader = []string{"Design", "Configuration", "Area(mm2)", "Freq(GHz)", "
 // TableI reproduces paper Table I: implementation cost of the 2D versus
 // the 3D folded switch at radix 64 (4 layers), under uniform random
 // traffic.
-func TableI(o Opts) *Table {
+func TableI(o Opts) (*Table, error) {
 	o = o.norm()
 	designs := []Design{design2D(64), designFolded(64, 4)}
-	rows := make([][]string, len(designs))
-	o.sweep(len(designs), func(i int) { rows[i] = costRow(designs[i], o, o.seedFor("table1", i, 0)) })
+	rows, err := costRows(o, "table1", designs)
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "table1",
 		Title:  "Implementation cost of 2D versus 3D folded switch (64-radix, 4 layers)",
@@ -54,12 +55,12 @@ func TableI(o Opts) *Table {
 			"paper: 2D 0.672mm2/1.69GHz/71pJ/9.24Tbps/0, folded 0.705/1.58/73/8.86/8192",
 			"throughput = simulated UR saturation x modeled frequency x 128b",
 		},
-	}
+	}, nil
 }
 
 // TableIV reproduces paper Table IV: implementation cost of the 2D,
 // folded, and Hi-Rise 1/2/4-channel switches (L-2-L LRG arbitration).
-func TableIV(o Opts) *Table {
+func TableIV(o Opts) (*Table, error) {
 	o = o.norm()
 	designs := []Design{
 		design2D(64),
@@ -68,8 +69,10 @@ func TableIV(o Opts) *Table {
 		designHiRise("3D 2-Channel", 2, topo.L2LLRG),
 		designHiRise("3D 1-Channel", 1, topo.L2LLRG),
 	}
-	rows := make([][]string, len(designs))
-	o.sweep(len(designs), func(i int) { rows[i] = costRow(designs[i], o, o.seedFor("table4", i, 0)) })
+	rows, err := costRows(o, "table4", designs)
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "table4",
 		Title:  "Implementation cost of switch configurations (64-radix; 3D switches have 4 layers)",
@@ -79,21 +82,23 @@ func TableIV(o Opts) *Table {
 			"paper Tbps: 2D 9.24, folded 8.86, 4-ch 10.97, 2-ch 7.65, 1-ch 4.27",
 			"absolute utilization differs from the authors' simulator; ratios are the claim",
 		},
-	}
+	}, nil
 }
 
 // TableV reproduces paper Table V: arbitration variants of the 4-channel
 // 4-layer switch. WLRG appears with simulated throughput but is flagged
 // infeasible, as the paper's table footnote does.
-func TableV(o Opts) *Table {
+func TableV(o Opts) (*Table, error) {
 	o = o.norm()
 	designs := []Design{
 		design2D(64),
 		designHiRise("3D L-2-L LRG", 4, topo.L2LLRG),
 		designHiRise("3D CLRG", 4, topo.CLRG),
 	}
-	rows := make([][]string, len(designs))
-	o.sweep(len(designs), func(i int) { rows[i] = costRow(designs[i], o, o.seedFor("table5", i, 0)) })
+	rows, err := costRows(o, "table5", designs)
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "table5",
 		Title:  "Implementation cost of switch arbitration variants (64-radix, 4-channel, 4 layers)",
@@ -103,7 +108,7 @@ func TableV(o Opts) *Table {
 			"paper: L-2-L LRG 2.24GHz/42pJ/10.97Tbps; CLRG 2.2GHz/44pJ/10.65Tbps; same area/TSVs",
 			"WLRG not shown as its implementation is infeasible (paper note)",
 		},
-	}
+	}, nil
 }
 
 // CornerCase quantifies the paper's §VI-B pathological corner: purely
@@ -111,27 +116,21 @@ func TableV(o Opts) *Table {
 // outputs, limiting Hi-Rise to ~1/4 of the flat 2D throughput (in
 // flits/cycle; frequency does not rescue a structural bottleneck here
 // because the comparison is about fabric capacity).
-func CornerCase(o Opts) *Table {
+func CornerCase(o Opts) (*Table, error) {
 	o = o.norm()
 	hr := designHiRise("Hi-Rise 4-ch CLRG", 4, topo.CLRG)
 	d2 := design2D(64)
 	pattern := traffic.InterLayerWorstCase{Cfg: hr.Cfg}
 
-	var flits [2]float64
 	designs := []Design{d2, hr}
-	o.sweep(2, func(i int) {
-		v, err := sim.SaturationThroughput(sim.Config{
-			Ctx:     o.Ctx,
-			Switch:  designs[i].NewSwitch(),
-			Traffic: pattern,
-			Warmup:  o.Warmup, Measure: o.Measure, Seed: o.seedFor("corner", i, 0),
-			ConvergeStop: o.ConvergeStop,
-		})
-		if err != nil {
-			panic(err)
-		}
-		flits[i] = v
+	flits, err := sweep(o, len(designs), func(i int) (float64, error) {
+		c := o.simConfig("corner", i, 0)
+		c.Switch, c.Traffic = designs[i].NewSwitch(), pattern
+		return sim.SaturationThroughput(c)
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		ID:     "corner",
 		Title:  "Pathological inter-layer-only traffic (paper §VI-B): worst-case L2LC bottleneck",
@@ -141,7 +140,7 @@ func CornerCase(o Opts) *Table {
 			{hr.Name, f(flits[1], 2), f(flits[1]/flits[0], 2)},
 		},
 		Notes: []string{"paper: throughput can be limited to 1/4th of the flat 2D switch"},
-	}
+	}, nil
 }
 
 // Discussion reproduces the §VI-E topology comparison. The paper quotes
@@ -150,7 +149,7 @@ func CornerCase(o Opts) *Table {
 // improves a further ~38% over the 2D switch. We model mesh and flattened
 // butterfly power by inverting those published ratios from our measured
 // 2D energy, then derive the Hi-Rise savings.
-func Discussion(o Opts) *Table {
+func Discussion(o Opts) (*Table, error) {
 	o = o.norm()
 	tech := o.Tech
 	e2d := phys.Flat2D(64, tech).EnergyPJ
@@ -171,5 +170,5 @@ func Discussion(o Opts) *Table {
 			"paper: ~58% power saving over flattened butterfly, ~38% over 2D Swizzle-Switch",
 			"mesh and flattened butterfly are not re-simulated; rows derive from the paper's quoted ratios",
 		},
-	}
+	}, nil
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"github.com/reprolab/hirise/internal/manycore"
-	"github.com/reprolab/hirise/internal/phys"
-	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/trace"
 )
@@ -13,61 +11,71 @@ func init() {
 	register("table6-addr", TableVIAddr)
 }
 
+// tableVIDesigns are the two systems Table VI compares: the 2D
+// Swizzle-Switch and Hi-Rise 4-channel CLRG.
+func tableVIDesigns() [2]Design {
+	return [2]Design{design2D(64), designHiRise("Hi-Rise", 4, topo.CLRG)}
+}
+
+// runMix runs benches on the 64-core system around a fresh switch of
+// design d at the design's modeled clock. The many-core windows are in
+// core cycles, scaled from the switch-cycle opts.
+func runMix(o Opts, d Design, benches []trace.Benchmark, seed uint64, addressMode bool) (manycore.Result, error) {
+	sys, err := manycore.New(manycore.Config{
+		SwitchGHz:   d.Cost(o.Tech).FreqGHz,
+		AddressMode: addressMode,
+		Warmup:      o.Warmup * 2, Measure: o.Measure * 2,
+		Seed: seed,
+	}, d.NewSwitch(), benches)
+	if err != nil {
+		return manycore.Result{}, err
+	}
+	return sys.Run(), nil
+}
+
+// runMixPair runs mix i of experiment id under both Table VI designs.
+// Both switches run under the same derived seed so the speedup
+// comparison stays paired.
+func runMixPair(o Opts, id string, i int, mix trace.Mix, addressMode bool) ([2]manycore.Result, error) {
+	var out [2]manycore.Result
+	benches, err := mix.Assign(64, o.seedFor(id, i, 0))
+	if err != nil {
+		return out, err
+	}
+	for j, d := range tableVIDesigns() {
+		if out[j], err = runMix(o, d, benches, o.seedFor(id, i, 1), addressMode); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
 // TableVI reproduces paper Table VI: normalized system speedup of a
 // 64-core processor using a single Hi-Rise 4-channel CLRG switch over the
 // same system with a 2D Swizzle-Switch, across eight multi-programmed
 // workload mixes. The two systems are identical except for the switch —
 // including its clock, which the physical model supplies.
-func TableVI(o Opts) *Table {
+func TableVI(o Opts) (*Table, error) {
 	o = o.norm()
 	mixes := trace.TableVIMixes()
-	d2Cost := phys.Flat2D(64, o.Tech)
-	hrDesign := designHiRise("Hi-Rise", 4, topo.CLRG)
-	hrCost := hrDesign.Cost(o.Tech)
-
-	// Many-core windows in core cycles; scale from the switch-cycle opts.
-	warmup, measure := o.Warmup*2, o.Measure*2
-
-	type out struct {
-		speedup float64
-		lat2d   float64
-		latHR   float64
-	}
-	results := make([]out, len(mixes))
-	o.sweep(len(mixes), func(i int) {
-		mix := mixes[i]
-		benches, err := mix.Assign(64, o.seedFor("table6", i, 0))
-		if err != nil {
-			panic(err)
-		}
-		// Both switches run under the same derived seed so the speedup
-		// comparison stays paired.
-		run := func(sw sim.Switch, ghz float64) manycore.Result {
-			sys, err := manycore.New(manycore.Config{
-				SwitchGHz: ghz,
-				Warmup:    warmup, Measure: measure,
-				Seed: o.seedFor("table6", i, 1),
-			}, sw, benches)
-			if err != nil {
-				panic(err)
-			}
-			return sys.Run()
-		}
-		r2 := run(design2D(64).NewSwitch(), d2Cost.FreqGHz)
-		rh := run(hrDesign.NewSwitch(), hrCost.FreqGHz)
-		results[i] = out{speedup: rh.SystemIPC / r2.SystemIPC, lat2d: r2.AvgNetLatency, latHR: rh.AvgNetLatency}
+	results, err := sweep(o, len(mixes), func(i int) ([2]manycore.Result, error) {
+		return runMixPair(o, "table6", i, mixes[i], false)
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([][]string, len(mixes))
 	sum := 0.0
 	for i, mix := range mixes {
+		speedup := results[i][1].SystemIPC / results[i][0].SystemIPC
 		rows[i] = []string{
 			mix.Name,
 			f(mix.AvgMPKI(), 1),
-			f(results[i].speedup, 2),
+			f(speedup, 2),
 			f(mix.PaperSpeedup, 2),
 		}
-		sum += results[i].speedup
+		sum += speedup
 	}
 	rows = append(rows, []string{"GeoMean-ish avg", "", f(sum/float64(len(mixes)), 3), "1.08"})
 	return &Table{
@@ -79,7 +87,7 @@ func TableVI(o Opts) *Table {
 			"synthetic MPKI-calibrated traces replace the paper's Pin traces (see DESIGN.md)",
 			"paper: 8% average speedup, up to 15-16% for the highest-MPKI mixes",
 		},
-	}
+	}, nil
 }
 
 // TableVIAddr cross-validates Table VI in address-driven mode: instead
@@ -88,53 +96,29 @@ func TableVI(o Opts) *Table {
 // keep real tags. Misses — and therefore network load — emerge from
 // cache state. The table reports the measured L1 MPKI alongside the
 // speedup so the two modes can be compared.
-func TableVIAddr(o Opts) *Table {
+func TableVIAddr(o Opts) (*Table, error) {
 	o = o.norm()
 	mixes := trace.TableVIMixes()
-	d2Cost := phys.Flat2D(64, o.Tech)
-	hrDesign := designHiRise("Hi-Rise", 4, topo.CLRG)
-	hrCost := hrDesign.Cost(o.Tech)
-	warmup, measure := o.Warmup*2, o.Measure*2
-
-	type out struct {
-		speedup float64
-		mpki    float64
-	}
-	results := make([]out, len(mixes))
-	o.sweep(len(mixes), func(i int) {
-		mix := mixes[i]
-		benches, err := mix.Assign(64, o.seedFor("table6-addr", i, 0))
-		if err != nil {
-			panic(err)
-		}
-		run := func(sw sim.Switch, ghz float64) manycore.Result {
-			sys, err := manycore.New(manycore.Config{
-				SwitchGHz:   ghz,
-				AddressMode: true,
-				Warmup:      warmup, Measure: measure,
-				Seed: o.seedFor("table6-addr", i, 1),
-			}, sw, benches)
-			if err != nil {
-				panic(err)
-			}
-			return sys.Run()
-		}
-		r2 := run(design2D(64).NewSwitch(), d2Cost.FreqGHz)
-		rh := run(hrDesign.NewSwitch(), hrCost.FreqGHz)
-		results[i] = out{speedup: rh.SystemIPC / r2.SystemIPC, mpki: rh.AvgL1MPKI}
+	results, err := sweep(o, len(mixes), func(i int) ([2]manycore.Result, error) {
+		return runMixPair(o, "table6-addr", i, mixes[i], true)
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([][]string, len(mixes))
 	sum := 0.0
 	for i, mix := range mixes {
+		r2, rh := results[i][0], results[i][1]
+		speedup := rh.SystemIPC / r2.SystemIPC
 		rows[i] = []string{
 			mix.Name,
 			f(mix.AvgMPKI(), 1),
-			f(results[i].mpki, 1),
-			f(results[i].speedup, 2),
+			f(rh.AvgL1MPKI, 1),
+			f(speedup, 2),
 			f(mix.PaperSpeedup, 2),
 		}
-		sum += results[i].speedup
+		sum += speedup
 	}
 	rows = append(rows, []string{"GeoMean-ish avg", "", "", f(sum/float64(len(mixes)), 3), "1.08"})
 	return &Table{
@@ -146,5 +130,5 @@ func TableVIAddr(o Opts) *Table {
 			"misses emerge from real cache state instead of MPKI coin flips",
 			"agreement with the probabilistic-mode table validates the workload substitution end to end",
 		},
-	}
+	}, nil
 }

@@ -4,10 +4,7 @@ import (
 	"sort"
 
 	"github.com/reprolab/hirise/internal/manycore"
-	"github.com/reprolab/hirise/internal/phys"
-	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/stats"
-	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/trace"
 )
 
@@ -18,33 +15,22 @@ func init() { register("table6-detail", TableVIDetail) }
 // that the speedup concentrates in the network-bound applications — the
 // mechanism behind the paper's observation that "the 3D switch provides
 // better speedup for workloads with higher cache miss rates".
-func TableVIDetail(o Opts) *Table {
+func TableVIDetail(o Opts) (*Table, error) {
 	o = o.norm()
 	mix := trace.TableVIMixes()[7] // Mix8
 	benches, err := mix.Assign(64, o.Seed)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	d2Cost := phys.Flat2D(64, o.Tech)
-	hrDesign := designHiRise("Hi-Rise", 4, topo.CLRG)
-	hrCost := hrDesign.Cost(o.Tech)
-
-	var results [2]manycore.Result
-	ghz := []float64{d2Cost.FreqGHz, hrCost.FreqGHz}
-	sws := []sim.Switch{design2D(64).NewSwitch(), hrDesign.NewSwitch()}
+	designs := tableVIDesigns()
 	// The two switches share one derived seed: the comparison is paired.
 	seed := o.seedFor("table6-detail", 0, 0)
-	o.sweep(2, func(i int) {
-		sys, err := manycore.New(manycore.Config{
-			SwitchGHz: ghz[i],
-			Warmup:    o.Warmup * 2, Measure: o.Measure * 2,
-			Seed: seed,
-		}, sws[i], benches)
-		if err != nil {
-			panic(err)
-		}
-		results[i] = sys.Run()
+	results, err := sweep(o, len(designs), func(i int) (manycore.Result, error) {
+		return runMix(o, designs[i], benches, seed, false)
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Group per-core IPC by application.
 	type agg struct {
@@ -91,5 +77,5 @@ func TableVIDetail(o Opts) *Table {
 		Notes: []string{
 			"speedup concentrates in the network-bound applications (paper §VI-D)",
 		},
-	}
+	}, nil
 }

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/obs"
 	"github.com/reprolab/hirise/internal/pool"
+	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/tele"
 	"github.com/reprolab/hirise/internal/traffic"
 )
@@ -225,9 +227,20 @@ func TestConfigValidation(t *testing.T) {
 		{"no topology", func(c *Config) { c.Topo = nil }},
 		{"no traffic", func(c *Config) { c.Traffic = nil }},
 		{"negative load", func(c *Config) { c.Load = -1 }},
+		{"zero config", func(c *Config) { *c = Config{} }},
+		{"radix mismatch", func(c *Config) {
+			radix := c.Topo.Radix() - 1
+			c.NewSwitch = func() sim.Switch { return crossbar.New(radix) }
+		}},
 		{"bad mesh", func(c *Config) { c.Topo = Mesh{W: 0, H: 2, Conc: 2, Lanes: 1} }},
+		{"mesh H=0", func(c *Config) { c.Topo = Mesh{W: 3, H: 0, Conc: 2, Lanes: 1} }},
+		{"mesh Conc=0", func(c *Config) { c.Topo = Mesh{W: 3, H: 3, Conc: 0, Lanes: 1} }},
+		{"mesh W=-1", func(c *Config) { c.Topo = Mesh{W: -1, H: 3, Conc: 2, Lanes: 1} }},
 		{"mesh without lanes", func(c *Config) { c.Topo = Mesh{W: 3, H: 3, Conc: 2, Lanes: 0} }},
 		{"fbfly without row links", func(c *Config) { c.Topo = FlattenedButterfly{W: 1, H: 3, Conc: 2, Lanes: 1} }},
+		{"fbfly H=0", func(c *Config) { c.Topo = FlattenedButterfly{W: 3, H: 0, Conc: 2, Lanes: 1} }},
+		{"fbfly Conc=0", func(c *Config) { c.Topo = FlattenedButterfly{W: 3, H: 3, Conc: 0, Lanes: 1} }},
+		{"fbfly Lanes=-1", func(c *Config) { c.Topo = FlattenedButterfly{W: 3, H: 3, Conc: 2, Lanes: -1} }},
 		{"1x1 with lanes", func(c *Config) { c.Topo = Mesh{W: 1, H: 1, Conc: 2, Lanes: 1} }},
 		{"too few VCs for valiant", func(c *Config) {
 			c.Topo = Dragonfly{Groups: 3, GroupSize: 2, GlobalPorts: 1, Conc: 2, Lanes: 1}

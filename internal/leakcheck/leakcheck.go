@@ -1,6 +1,6 @@
 // Package leakcheck is a test helper that proves goroutines started by
 // the code under test are released by the end of the test. Cancellation
-// plumbing (internal/pool DoCtx, internal/serve job cancellation) exists
+// plumbing (internal/pool Sweep, internal/serve job cancellation) exists
 // precisely to free workers; these tests fail loudly if a cancelled job
 // still holds any.
 package leakcheck

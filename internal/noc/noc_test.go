@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/reprolab/hirise/internal/core"
-	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/fabric"
 	"github.com/reprolab/hirise/internal/pool"
 	"github.com/reprolab/hirise/internal/sim"
@@ -92,17 +91,6 @@ func hopsClosedForm(t *testing.T, topo fabric.Topology) float64 {
 			topo, w, h, res.AvgHops, res.Delivered, want, tol)
 	}
 	return res.AvgHops
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := config(smallMesh(2, 2, 4, 1), 0.02)
-	bad.NewSwitch = func() sim.Switch { return crossbar.New(5) } // radix 8 needed
-	if _, err := fabric.Run(bad); err == nil {
-		t.Error("radix mismatch accepted")
-	}
-	if _, err := fabric.Run(fabric.Config{}); err == nil {
-		t.Error("zero config accepted")
-	}
 }
 
 func TestPacketsFlowAcrossMesh(t *testing.T) {

@@ -227,25 +227,3 @@ func TestFBflyLinkCoverage(t *testing.T) {
 		}
 	}
 }
-
-// TestTopologyValidateRejectsDegenerateShapes: every zero or negative
-// dimension is rejected by fabric.Run rather than producing a wedged
-// network.
-func TestTopologyValidateRejectsDegenerateShapes(t *testing.T) {
-	bad := []fabric.Topology{
-		smallMesh(0, 3, 2, 1),
-		smallMesh(3, 0, 2, 1),
-		smallMesh(3, 3, 0, 1),
-		smallMesh(3, 3, 2, 0),
-		smallMesh(-1, 3, 2, 1),
-		fbfly(1, 3, 2, 1), // no row links
-		fbfly(3, 0, 2, 1),
-		fbfly(3, 3, 0, 1),
-		fbfly(3, 3, 2, -1),
-	}
-	for _, topo := range bad {
-		if _, err := fabric.Run(config(topo, 0.1)); err == nil {
-			t.Errorf("degenerate topology %+v accepted", topo)
-		}
-	}
-}

@@ -13,7 +13,7 @@ import (
 func TestDoCtxNilContextRunsEverything(t *testing.T) {
 	leakcheck.Check(t)
 	var ran atomic.Int64
-	if err := DoCtx(nil, 100, 4, func(i int) { ran.Add(1) }); err != nil {
+	if err := do(nil, 100, 4, func(i int) { ran.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 100 {
@@ -24,7 +24,7 @@ func TestDoCtxNilContextRunsEverything(t *testing.T) {
 func TestDoCtxCompletedRunMatchesDo(t *testing.T) {
 	leakcheck.Check(t)
 	var ran atomic.Int64
-	if err := DoCtx(context.Background(), 50, 3, func(i int) { ran.Add(1) }); err != nil {
+	if err := do(context.Background(), 50, 3, func(i int) { ran.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 50 {
@@ -42,7 +42,7 @@ func TestDoCtxCancelSkipsPendingTasks(t *testing.T) {
 	var started atomic.Int64
 	release := make(chan struct{})
 	var once sync.Once
-	err := DoCtx(ctx, n, workers, func(i int) {
+	err := do(ctx, n, workers, func(i int) {
 		started.Add(1)
 		once.Do(func() {
 			cancel()
@@ -60,19 +60,24 @@ func TestDoCtxCancelSkipsPendingTasks(t *testing.T) {
 	}
 }
 
-// TestDoCtxSuppressesPanicsAfterCancel: runners that panic on
-// simulation errors (the experiments package contract) must not crash
-// the process when the error is a cancellation — the ctx error is the
-// authoritative failure signal.
-func TestDoCtxSuppressesPanicsAfterCancel(t *testing.T) {
+// TestDoCtxRepanicsAfterCancel: a panicking task re-raises even when
+// the same run was cancelled. Cancellation reaches callers as an error,
+// so a panic is always a bug and must never be swallowed.
+func TestDoCtxRepanicsAfterCancel(t *testing.T) {
 	leakcheck.Check(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	err := DoCtx(ctx, 8, 2, func(i int) {
-		cancel()
-		panic("sim aborted by ctx")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		func() {
+			defer func() {
+				if r := recover(); r != "task crashed" {
+					t.Errorf("workers=%d: recovered %v, want the task's panic", workers, r)
+				}
+			}()
+			do(ctx, 8, workers, func(i int) {
+				cancel()
+				panic("task crashed")
+			})
+		}()
 	}
 }
 
@@ -81,7 +86,7 @@ func TestDoCtxPreCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := DoCtx(ctx, 100, 4, func(i int) { ran.Add(1) })
+	err := do(ctx, 100, 4, func(i int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -96,7 +101,7 @@ func TestDoCtxSerialCancel(t *testing.T) {
 	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran int
-	err := DoCtx(ctx, 100, 1, func(i int) {
+	err := do(ctx, 100, 1, func(i int) {
 		ran++
 		if i == 4 {
 			cancel()

@@ -41,29 +41,17 @@ func Do(n, workers int, fn func(i int)) {
 	do(nil, n, workers, fn)
 }
 
-// DoCtx is Do with cooperative cancellation: once ctx is cancelled no
-// new task starts, already-running tasks finish (they observe the same
-// ctx through their own plumbing if they want to stop early), and the
-// ctx error is returned. Which tasks ran after a cancellation depends on
-// scheduling, so callers must treat any output produced under a non-nil
-// ctx error as garbage and discard it — determinism is a property of
-// completed runs only. A nil ctx behaves exactly like Do.
-func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	do(ctx, n, workers, fn)
-	if ctx != nil && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
-func do(ctx context.Context, n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+// do is Do with cooperative cancellation: once ctx (nil never cancels)
+// is cancelled no new task starts, already-running tasks finish (they
+// observe the same ctx through their own plumbing if they want to stop
+// early), and the ctx error is returned. Which tasks ran after a
+// cancellation depends on scheduling, so whatever they wrote is garbage;
+// Sweep discards it. A panicking task re-panics as in Do, cancelled or
+// not.
+func do(ctx context.Context, n, workers int, fn func(i int)) error {
+	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
+	// n <= 0 leaves no workers, and no task runs.
+	workers = min(Workers(workers), max(n, 0))
 
 	var (
 		next     atomic.Int64
@@ -73,7 +61,6 @@ func do(ctx context.Context, n, workers int, fn func(i int)) {
 		panicVal any
 	)
 	next.Store(-1)
-	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
 	runTask := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -109,12 +96,13 @@ func do(ctx context.Context, n, workers int, fn func(i int)) {
 		}
 		wg.Wait()
 	}
-	if panicIdx >= 0 && !cancelled() {
-		// A cancelled run's panics are indistinguishable from tasks
-		// aborted mid-flight by the same cancellation; the ctx error the
-		// caller sees is the authoritative failure, so suppress them.
+	if panicIdx >= 0 {
 		panic(panicVal)
 	}
+	if cancelled() {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // Map runs fn(i) for every i in [0, n) on at most Workers(workers)
@@ -138,7 +126,7 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 func Sweep[R any](ctx context.Context, n, workers int, base uint64, point func(i int, seed uint64) (R, error)) ([]R, error) {
 	out := make([]R, n)
 	errs := make([]error, n)
-	if err := DoCtx(ctx, n, workers, func(i int) {
+	if err := do(ctx, n, workers, func(i int) {
 		out[i], errs[i] = point(i, SeedFor(base, uint64(i)))
 	}); err != nil {
 		return nil, err

@@ -780,3 +780,66 @@ func TestJobTimeout(t *testing.T) {
 		t.Fatalf("deleted job ended %s, want %s", cfinal.State, serve.Cancelled)
 	}
 }
+
+// longQoS is an ablate-qos experiment job that runs for minutes unless
+// cancelled. Its runner is a single simulation.
+func longQoS() serve.Request {
+	return serve.Request{
+		Kind: "experiment", Experiment: "ablate-qos",
+		Warmup: 10_000_000, Measure: 2_000_000_000,
+	}
+}
+
+// TestCancelRunningExperiment: DELETE on a running ablate-qos job
+// settles it as cancelled without taking the server down, and the
+// server then completes a quick ablate-qos job, which counts its one
+// simulation as progress.
+func TestCancelRunningExperiment(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Workers: 1, SimWorkers: 1})
+
+	st := submit(t, ts, longQoS())
+	waitState(t, ts, st.ID, "running", func(s serve.Status) bool { return s.State == serve.Running })
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	final := waitState(t, ts, st.ID, "cancelled", func(s serve.Status) bool { return s.State.Terminal() })
+	if final.State != serve.Cancelled {
+		t.Fatalf("cancelled experiment ended %s (%s), want %s", final.State, final.Error, serve.Cancelled)
+	}
+
+	quick := submit(t, ts, serve.Request{Kind: "experiment", Experiment: "ablate-qos", Quick: true})
+	done := waitState(t, ts, quick.ID, "done", func(s serve.Status) bool { return s.State.Terminal() })
+	if done.State != serve.Done {
+		t.Fatalf("quick experiment after a cancel ended %s: %s", done.State, done.Error)
+	}
+	if done.Progress != 1 {
+		t.Fatalf("ablate-qos progress = %d, want its 1 simulation", done.Progress)
+	}
+}
+
+// TestExperimentJobTimeout: an ablate-qos job that outlives
+// Config.JobTimeout settles as timeout, and the worker then runs the
+// next job.
+func TestExperimentJobTimeout(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{
+		Workers: 1, SimWorkers: 1, JobTimeout: 400 * time.Millisecond,
+	})
+
+	st := submit(t, ts, longQoS())
+	final := waitState(t, ts, st.ID, "timeout", func(s serve.Status) bool { return s.State.Terminal() })
+	if final.State != serve.Timeout {
+		t.Fatalf("overlong experiment ended %s (%s), want %s", final.State, final.Error, serve.Timeout)
+	}
+
+	quick := submit(t, ts, quickSweep())
+	qdone := waitState(t, ts, quick.ID, "done", func(s serve.Status) bool { return s.State.Terminal() })
+	if qdone.State != serve.Done {
+		t.Fatalf("job after a timeout ended %s: %s", qdone.State, qdone.Error)
+	}
+}
