@@ -48,7 +48,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return sys.Run()
+		r, err := sys.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
 	}
 
 	d2Cost := hirise.CostOf(hirise.Config{Radix: 64, Layers: 1}, tech)

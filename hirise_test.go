@@ -86,8 +86,8 @@ func TestFacadeManycore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := sys.Run(); r.SystemIPC <= 0 {
-		t.Fatalf("system made no progress: %+v", r)
+	if r, err := sys.Run(); err != nil || r.SystemIPC <= 0 {
+		t.Fatalf("system made no progress: %+v, %v", r, err)
 	}
 	if len(hirise.Benchmarks()) < 25 {
 		t.Error("benchmark catalog too small")
@@ -136,9 +136,9 @@ func TestFacadeAddressMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := sys.Run()
-	if r.AvgL1MPKI <= 0 {
-		t.Fatalf("address mode reported no MPKI: %+v", r)
+	r, err := sys.Run()
+	if err != nil || r.AvgL1MPKI <= 0 {
+		t.Fatalf("address mode reported no MPKI: %+v, %v", r, err)
 	}
 }
 

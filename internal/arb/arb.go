@@ -25,7 +25,9 @@
 package arb
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"github.com/reprolab/hirise/internal/bitvec"
 )
@@ -50,76 +52,74 @@ type Arbiter interface {
 // becomes the lowest-priority requestor. It is the behavioural model of
 // the Swizzle-Switch priority-vector hardware (one bit per requestor pair
 // stored in the cross-points).
+//
+// The priority order is kept as one last-grant timestamp per requestor
+// plus a clock: Update stamps the winner with the clock and advances it,
+// so the winner's stamp strictly exceeds every other and ascending
+// (stamp, index) is exactly the least-recently-granted order, ties
+// (requestors never granted) going to the lower index. Update is O(1)
+// and Grant is a min-stamp scan over the set bits of the request.
 type LRG struct {
-	order []int // order[0] is the highest-priority requestor
-	pos   []int // pos[r] is r's index within order
+	stamp []int64 // stamp[r] is r's last-grant time; lower is higher priority
+	clock int64   // the next grant's stamp, above every stamp in use
 }
 
 // NewLRG returns an LRG arbiter over n requestors with initial priority
 // order 0 > 1 > ... > n-1.
 func NewLRG(n int) *LRG {
-	l := &LRG{order: make([]int, n), pos: make([]int, n)}
-	l.identity()
-	return l
+	l := lrgOver(make([]int64, n))
+	return &l
 }
 
 // NewLRGs returns count independent LRG arbiters over n requestors each
-// (identity initial order), backed by three allocations total instead of
-// 3*count: the arbiter structs and their order/pos arrays are carved from
+// (identity initial order), backed by two allocations total instead of
+// 2*count: the arbiter structs and their stamp arrays are carved from
 // shared slabs. The arbiters share no mutable state.
 func NewLRGs(n, count int) []LRG {
 	ls := make([]LRG, count)
-	orders := make([]int, n*count)
-	poss := make([]int, n*count)
+	stamps := make([]int64, n*count)
 	for k := range ls {
-		ls[k].order = orders[k*n : (k+1)*n : (k+1)*n]
-		ls[k].pos = poss[k*n : (k+1)*n : (k+1)*n]
-		ls[k].identity()
+		ls[k] = lrgOver(stamps[k*n : (k+1)*n : (k+1)*n])
 	}
 	return ls
 }
+
+// lrgOver returns an identity-order LRG over a zeroed stamp array: every
+// requestor is never-granted, so the lower index wins each tie.
+func lrgOver(stamp []int64) LRG { return LRG{stamp: stamp, clock: 1} }
 
 // NewLRGFromOrder returns an LRG arbiter with the given initial priority
 // order, order[0] highest. The order must be a permutation of [0,len).
 func NewLRGFromOrder(order []int) *LRG {
 	n := len(order)
-	l := &LRG{
-		order: append([]int(nil), order...),
-		pos:   make([]int, n),
-	}
+	l := &LRG{stamp: make([]int64, n), clock: int64(n) + 1}
 	seen := make([]bool, n)
-	for i, r := range l.order {
+	for i, r := range order {
 		if r < 0 || r >= n || seen[r] {
 			panic("arb: initial order is not a permutation")
 		}
 		seen[r] = true
-		l.pos[r] = i
+		l.stamp[r] = int64(i) + 1
 	}
 	return l
 }
 
-// identity sets the initial priority order 0 > 1 > ... > n-1.
-func (l *LRG) identity() {
-	for i := range l.order {
-		l.order[i], l.pos[i] = i, i
-	}
-}
-
 // N returns the number of requestor slots.
-func (l *LRG) N() int { return len(l.order) }
+func (l *LRG) N() int { return len(l.stamp) }
 
 // Grant returns the highest-priority requestor among the set bits of
-// req, or -1. The winner is the set bit with the minimum priority
-// position, found by iterating only the set bits — one TrailingZeros64
-// step per requestor instead of an order-list scan.
+// req, or -1: the set bit with the minimum stamp, found by iterating only
+// the set bits — one TrailingZeros64 step per requestor. Bits come in
+// ascending order and only a strictly smaller stamp displaces the best,
+// so equal stamps go to the lower index.
 func (l *LRG) Grant(req bitvec.Vec) int {
-	best, bestPos := -1, len(l.order)
+	best, bestStamp := -1, l.clock
 	for w, word := range req {
 		for word != 0 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			if p := l.pos[i]; p < bestPos {
-				bestPos, best = p, i
+			if s := l.stamp[i]; s < bestStamp {
+				bestStamp, best = s, i
 			}
 		}
 	}
@@ -128,16 +128,20 @@ func (l *LRG) Grant(req bitvec.Vec) int {
 
 // Update moves winner to the lowest priority position.
 func (l *LRG) Update(winner int) {
-	i := l.pos[winner]
-	copy(l.order[i:], l.order[i+1:])
-	l.order[len(l.order)-1] = winner
-	for j := i; j < len(l.order); j++ {
-		l.pos[l.order[j]] = j
-	}
+	l.stamp[winner] = l.clock
+	l.clock++
 }
 
-// Order returns a copy of the current priority order, highest first.
-func (l *LRG) Order() []int { return append([]int(nil), l.order...) }
+// Order returns the current priority order, highest first: the
+// requestors sorted by (stamp, index).
+func (l *LRG) Order() []int {
+	order := make([]int, len(l.stamp))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(l.stamp[a], l.stamp[b]) })
+	return order
+}
 
 // RoundRobin grants the first requestor at or after the slot following the
 // previous winner. It is the pointer half of the paper's §VII iSLIP-1
@@ -163,6 +167,16 @@ type RoundRobin struct {
 
 // NewRoundRobin returns a round-robin arbiter over n requestors.
 func NewRoundRobin(n int) *RoundRobin { return &RoundRobin{n: n} }
+
+// NewRoundRobins returns count independent round-robin arbiters over n
+// requestors each, in one allocation.
+func NewRoundRobins(n, count int) []RoundRobin {
+	rs := make([]RoundRobin, count)
+	for k := range rs {
+		rs[k].n = n
+	}
+	return rs
+}
 
 // N returns the number of requestor slots.
 func (r *RoundRobin) N() int { return r.n }

@@ -20,9 +20,9 @@ import (
 // sub-block halves, preserving relative class order (paper §III-B4,
 // §IV-B1).
 type CLRG struct {
-	lrg      *LRG
-	counters []uint8    // one per primary input
-	maxClass uint8      // counters saturate at this value (classes-1)
+	lrg      LRG
+	counters []uint64   // one 8-bit class counter per primary input, eight per word
+	maxClass int        // counters saturate at this value (classes-1)
 	masked   bitvec.Vec // scratch: best-class request mask, reused per Grant
 	audit    *obs.FairnessAudit
 }
@@ -31,28 +31,42 @@ type CLRG struct {
 // the given number of primary inputs, with the given class count (the
 // paper uses 3 for radix 64). Initial line LRG order is 0 > 1 > ...
 func NewCLRG(lines, inputs, classes int) *CLRG {
-	return newCLRG(NewLRG(lines), inputs, classes)
+	return &NewCLRGs(lines, inputs, classes, 1)[0]
 }
 
-// NewCLRGFromOrder is NewCLRG with an explicit initial line priority
-// order, order[0] highest.
-func NewCLRGFromOrder(order []int, inputs, classes int) *CLRG {
-	return newCLRG(NewLRGFromOrder(order), inputs, classes)
-}
-
-func newCLRG(lrg *LRG, inputs, classes int) *CLRG {
+// NewCLRGs returns count independent CLRG arbiters, each as NewCLRG
+// would build it, backed by four allocations total: the arbiter structs,
+// their line stamps, their class counters and their scratch masks are
+// carved from shared slabs. The arbiters share no mutable state.
+func NewCLRGs(lines, inputs, classes, count int) []CLRG {
 	if classes < 2 {
 		panic("arb: CLRG needs at least 2 classes")
 	}
 	if classes > 256 {
 		panic("arb: CLRG class count exceeds counter width")
 	}
-	return &CLRG{
-		lrg:      lrg,
-		counters: make([]uint8, inputs),
-		maxClass: uint8(classes - 1),
-		masked:   bitvec.New(lrg.N()),
+	cw, mw := (inputs+7)/8, bitvec.WordsFor(lines)
+	cs := make([]CLRG, count)
+	stamps := make([]int64, lines*count)
+	counters := make([]uint64, cw*count)
+	masks := make([]uint64, mw*count)
+	for k := range cs {
+		cs[k] = CLRG{
+			lrg:      lrgOver(stamps[k*lines : (k+1)*lines : (k+1)*lines]),
+			counters: counters[k*cw : (k+1)*cw : (k+1)*cw],
+			maxClass: classes - 1,
+			masked:   bitvec.Vec(masks[k*mw : (k+1)*mw : (k+1)*mw]),
+		}
 	}
+	return cs
+}
+
+// NewCLRGFromOrder is NewCLRG with an explicit initial line priority
+// order, order[0] highest.
+func NewCLRGFromOrder(order []int, inputs, classes int) *CLRG {
+	c := NewCLRG(len(order), inputs, classes)
+	c.lrg = *NewLRGFromOrder(order)
+	return c
 }
 
 // SetAudit attaches a fairness audit: every Grant call then records one
@@ -67,7 +81,9 @@ func (c *CLRG) Lines() int { return c.lrg.N() }
 
 // Class returns the current priority class of a primary input (0 is the
 // highest priority).
-func (c *CLRG) Class(input int) int { return int(c.counters[input]) }
+func (c *CLRG) Class(input int) int {
+	return int(c.counters[input>>3] >> (input & 7 * 8) & 0xff)
+}
 
 // Grant returns the winning line among the set bits of req, where
 // inputOf[line] is the primary input the line is presenting this cycle.
@@ -81,12 +97,12 @@ func (c *CLRG) Grant(req bitvec.Vec, inputOf []int) int {
 	if req.None() {
 		return -1
 	}
-	best := int(c.maxClass) + 1
+	best := c.maxClass + 1
 	for w, word := range req {
 		for word != 0 {
 			line := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			if cl := int(c.counters[inputOf[line]]); cl < best {
+			if cl := c.Class(inputOf[line]); cl < best {
 				best = cl
 			}
 		}
@@ -97,7 +113,7 @@ func (c *CLRG) Grant(req bitvec.Vec, inputOf []int) int {
 		for word != 0 {
 			line := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			if int(c.counters[inputOf[line]]) == best {
+			if c.Class(inputOf[line]) == best {
 				c.masked.Set(line)
 			}
 		}
@@ -109,7 +125,7 @@ func (c *CLRG) Grant(req bitvec.Vec, inputOf []int) int {
 				line := w<<6 | bits.TrailingZeros64(word)
 				word &= word - 1
 				in := inputOf[line]
-				c.audit.Observe(in, int(c.counters[in]), line == win)
+				c.audit.Observe(in, c.Class(in), line == win)
 			}
 		}
 	}
@@ -119,15 +135,17 @@ func (c *CLRG) Grant(req bitvec.Vec, inputOf []int) int {
 // Update commits a win by the given line for the given primary input: the
 // line's LRG priority drops (LRG is updated even on cycles decided purely
 // by class), the input's counter increments, and a saturating counter
-// triggers the divide-by-two of every counter in the sub-block.
+// triggers the divide-by-two of every counter in the sub-block. The
+// halving is word-parallel: one shift and mask halves eight counters, the
+// mask dropping the bit each counter would shift into its neighbour.
 func (c *CLRG) Update(line, input int) {
 	c.lrg.Update(line)
-	if c.counters[input] >= c.maxClass {
-		for i := range c.counters {
-			c.counters[i] /= 2
+	if c.Class(input) >= c.maxClass {
+		for i, w := range c.counters {
+			c.counters[i] = w >> 1 & 0x7f7f7f7f7f7f7f7f
 		}
 	}
-	c.counters[input]++
+	c.counters[input>>3] += 1 << (input & 7 * 8)
 }
 
 // LineOrder returns the current LRG order over lines, highest first.
@@ -141,14 +159,28 @@ func (c *CLRG) LineOrder() []int { return c.lrg.Order() }
 // travels with the request — the very traffic that makes the scheme
 // infeasible in hardware, which is why Table V omits it.
 type WLRG struct {
-	lrg  *LRG
+	lrg  LRG
 	wins []int // consecutive wins since the line last dropped priority
 }
 
 // NewWLRG returns a WLRG arbiter over the given number of lines with
 // initial order 0 > 1 > ...
-func NewWLRG(lines int) *WLRG {
-	return &WLRG{lrg: NewLRG(lines), wins: make([]int, lines)}
+func NewWLRG(lines int) *WLRG { return &NewWLRGs(lines, 1)[0] }
+
+// NewWLRGs returns count independent WLRG arbiters over the given number
+// of lines each, backed by three allocations total. The arbiters share
+// no mutable state.
+func NewWLRGs(lines, count int) []WLRG {
+	ws := make([]WLRG, count)
+	stamps := make([]int64, lines*count)
+	wins := make([]int, lines*count)
+	for k := range ws {
+		ws[k] = WLRG{
+			lrg:  lrgOver(stamps[k*lines : (k+1)*lines : (k+1)*lines]),
+			wins: wins[k*lines : (k+1)*lines : (k+1)*lines],
+		}
+	}
+	return ws
 }
 
 // Lines returns the number of contending lines.

@@ -1,6 +1,7 @@
 package arb
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/reprolab/hirise/internal/bitvec"
@@ -124,13 +125,17 @@ func FuzzRoundRobinGrantEquivalence(f *testing.F) {
 
 // FuzzLRGFixedGrantEquivalence is the same differential for the LRG,
 // Fixed and WLRG arbiters against their []bool references, across update
-// sequences (WLRG with arbitrary weights, so its priority freezes).
+// sequences (WLRG with arbitrary weights, so its priority freezes). The
+// timestamp LRG is driven next to the priority list it replaced
+// (refLRG): grants must match, and so must the order Order() reports
+// after every update. WLRG's grant must be the scan of its own reported
+// line order.
 func FuzzLRGFixedGrantEquivalence(f *testing.F) {
 	f.Add(uint64(2), []byte{0xF0, 0x55, 0x03})
 	f.Fuzz(func(t *testing.T, seed uint64, stream []byte) {
 		src := prng.New(seed)
 		for _, n := range grantSizes {
-			lrg, fixed, wlrg := NewLRG(n), NewFixed(n), NewWLRG(n)
+			lrg, ref, fixed, wlrg := NewLRG(n), newRefLRG(n), NewFixed(n), NewWLRG(n)
 			req := make([]bool, n)
 			reqBits := bitvec.New(n)
 			for _, b := range stream {
@@ -139,17 +144,21 @@ func FuzzLRGFixedGrantEquivalence(f *testing.F) {
 					req[i] = src.Bernoulli(dens)
 				}
 				fill(reqBits, req)
-				want := refLRGGrant(lrg, req)
+				want := ref.grant(req)
 				if got := lrg.Grant(reqBits); got != want {
 					t.Fatalf("n=%d LRG: Grant %d vs reference %d on %v", n, got, want, req)
 				}
 				if want >= 0 {
 					lrg.Update(want)
+					ref.update(want)
+				}
+				if got := lrg.Order(); !slices.Equal(got, ref.order) {
+					t.Fatalf("n=%d LRG: Order %v vs reference %v", n, got, ref.order)
 				}
 				if got, fw := fixed.Grant(reqBits), refFixedGrant(req); got != fw {
 					t.Fatalf("n=%d Fixed: Grant %d vs reference %d on %v", n, got, fw, req)
 				}
-				ww := refLRGGrant(wlrg.lrg, req)
+				ww := refOrderGrant(wlrg.LineOrder(), req)
 				if got := wlrg.Grant(reqBits); got != ww {
 					t.Fatalf("n=%d WLRG: Grant %d vs reference %d on %v", n, got, ww, req)
 				}

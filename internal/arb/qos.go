@@ -55,14 +55,14 @@ func (q *QoS) Grant(req bitvec.Vec) int {
 	}
 	q.last.Copy(req)
 	q.open = true
-	winner, best, bestPos := -1, int64(0), 0
+	winner, best, bestStamp := -1, int64(0), int64(0)
 	for w, word := range req {
 		for word != 0 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			c, p := q.credit[i], q.lrg.pos[i]
-			if winner < 0 || c > best || c == best && p < bestPos {
-				winner, best, bestPos = i, c, p
+			c, st := q.credit[i], q.lrg.stamp[i]
+			if winner < 0 || c > best || c == best && st < bestStamp {
+				winner, best, bestStamp = i, c, st
 			}
 		}
 	}

@@ -18,10 +18,37 @@ func fill(v bitvec.Vec, req []bool) {
 	}
 }
 
-// refLRGGrant is LRG's order-list scan: the first requestor in priority
-// order wins.
-func refLRGGrant(l *LRG, req []bool) int {
-	for _, r := range l.order {
+// refLRG is LRG as an explicit priority list, the form it had before it
+// kept timestamps: order[0] is the highest-priority requestor, pos[r] is
+// r's index within order, and Update splices the winner to the end.
+type refLRG struct {
+	order []int
+	pos   []int
+}
+
+func newRefLRG(n int) *refLRG {
+	l := &refLRG{order: make([]int, n), pos: make([]int, n)}
+	for i := range l.order {
+		l.order[i], l.pos[i] = i, i
+	}
+	return l
+}
+
+func (l *refLRG) grant(req []bool) int { return refOrderGrant(l.order, req) }
+
+func (l *refLRG) update(winner int) {
+	i := l.pos[winner]
+	copy(l.order[i:], l.order[i+1:])
+	l.order[len(l.order)-1] = winner
+	for j := i; j < len(l.order); j++ {
+		l.pos[l.order[j]] = j
+	}
+}
+
+// refOrderGrant is LRG's order-list scan: the first requestor in the
+// priority order wins.
+func refOrderGrant(order []int, req []bool) int {
+	for _, r := range order {
 		if req[r] {
 			return r
 		}
@@ -55,12 +82,12 @@ func refFixedGrant(req []bool) int {
 func refCLRGGrant(c *CLRG, req []bool, inputOf []int) int {
 	best := -1
 	for line, r := range req {
-		if cl := int(c.counters[inputOf[line]]); r && (best < 0 || cl < best) {
+		if cl := c.Class(inputOf[line]); r && (best < 0 || cl < best) {
 			best = cl
 		}
 	}
-	for _, line := range c.lrg.order {
-		if req[line] && int(c.counters[inputOf[line]]) == best {
+	for _, line := range c.LineOrder() {
+		if req[line] && c.Class(inputOf[line]) == best {
 			return line
 		}
 	}
@@ -116,11 +143,12 @@ func (m *boolMatrix) update(winner int) {
 // refQoS is QoS as it was before it implemented Arbiter: a []bool
 // Grant and Commit, wrapped by an adapter that remembers the last
 // granted request mask and commits a round without Update lazily, as
-// winnerless, at the next Grant. It keeps its own credit and LRG state.
+// winnerless, at the next Grant. It keeps its own credit and list-LRG
+// state.
 type refQoS struct {
 	weights []int
 	credit  []int64
-	lrg     *LRG
+	lrg     *refLRG
 	lastReq []bool
 	granted bool
 }
@@ -129,7 +157,7 @@ func newRefQoS(weights []int) *refQoS {
 	return &refQoS{
 		weights: append([]int(nil), weights...),
 		credit:  make([]int64, len(weights)),
-		lrg:     NewLRG(len(weights)),
+		lrg:     newRefLRG(len(weights)),
 		lastReq: make([]bool, len(weights)),
 	}
 }
@@ -146,7 +174,7 @@ func (q *refQoS) grant(req []bool) int {
 			best = q.credit[i]
 		}
 	}
-	for _, i := range q.lrg.Order() {
+	for _, i := range q.lrg.order {
 		if req[i] && q.credit[i] == best {
 			return i
 		}
@@ -169,6 +197,6 @@ func (q *refQoS) commit(req []bool, winner int) {
 	}
 	if winner >= 0 {
 		q.credit[winner] -= total
-		q.lrg.Update(winner)
+		q.lrg.update(winner)
 	}
 }

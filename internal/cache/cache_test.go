@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -183,7 +185,7 @@ func TestMSHRPanicsOnBadCapacity(t *testing.T) {
 func TestProfileCalibration(t *testing.T) {
 	for _, target := range []float64{0.02, 0.1, 0.3, 0.57} {
 		p := ForMissRate(target, L1D())
-		got, err := MeasureMissRate(p, L1D(), 400000, 7)
+		got, err := MeasureMissRate(context.Background(), p, L1D(), 400000, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +197,7 @@ func TestProfileCalibration(t *testing.T) {
 
 func TestProfileEdges(t *testing.T) {
 	stream := ForMissRate(1.0, L1D())
-	got, err := MeasureMissRate(stream, L1D(), 100000, 3)
+	got, err := MeasureMissRate(context.Background(), stream, L1D(), 100000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestProfileEdges(t *testing.T) {
 		t.Errorf("stream profile miss rate %.3f, want ~1/16", got)
 	}
 	tiny := ForMissRate(0, L1D())
-	got, err = MeasureMissRate(tiny, L1D(), 100000, 3)
+	got, err = MeasureMissRate(context.Background(), tiny, L1D(), 100000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +222,7 @@ func TestProfileEdges(t *testing.T) {
 // L1 misses continuing to memory should land near their targets.
 func TestForMissRatesRealizesL2Ratio(t *testing.T) {
 	const l1Target, l2Ratio = 0.15, 0.5
-	p, err := CalibrateProfile(l1Target, l2Ratio, L1D(), 5)
+	p, err := CalibrateProfile(context.Background(), l1Target, l2Ratio, L1D(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,5 +306,18 @@ func BenchmarkL1Access(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(p.Next(rng), false)
+	}
+}
+
+// TestMeasureMissRateCancelled: a cancelled context stops both the
+// measurement and the calibration built on it, with the context's error.
+func TestMeasureMissRateCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MeasureMissRate(ctx, ForMissRate(0.05, L1D()), L1D(), 1<<30, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("MeasureMissRate err = %v, want context.Canceled", err)
+	}
+	if _, err := CalibrateProfile(ctx, 0.05, 0.5, L1D(), 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("CalibrateProfile err = %v, want context.Canceled", err)
 	}
 }

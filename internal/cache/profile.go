@@ -1,8 +1,16 @@
 package cache
 
 import (
+	"context"
+	"fmt"
+
 	"github.com/reprolab/hirise/internal/prng"
 )
+
+// ctxCheckInterval is how often, in references, MeasureMissRate polls
+// its context: a reference costs tens of nanoseconds, so 4096 of them
+// stop a cancelled measurement within a fraction of a millisecond.
+const ctxCheckInterval = 4096
 
 // Profile is a synthetic memory-reference generator with the two
 // ingredients that set a workload's miss rate: a resident working set
@@ -85,15 +93,17 @@ func ForMissRates(l1Target, l2Ratio float64, c Config) Profile {
 // working set against a real cache until the measured L1 miss rate lands
 // within ~3% of the target. The adjustment corrects for far-region
 // pollution: never-reused far lines evict near lines, shrinking the
-// effective capacity below the analytic sizing's assumption.
-func CalibrateProfile(l1Target, l2Ratio float64, c Config, seed uint64) (Profile, error) {
+// effective capacity below the analytic sizing's assumption. A cancelled
+// ctx (nil never cancels) stops it within a few thousand references and
+// returns ctx's error.
+func CalibrateProfile(ctx context.Context, l1Target, l2Ratio float64, c Config, seed uint64) (Profile, error) {
 	p := ForMissRates(l1Target, l2Ratio, c)
 	if l1Target <= 0 {
 		return p, nil
 	}
 	far := p.FarFraction
 	for iter := 0; iter < 6; iter++ {
-		got, err := MeasureMissRate(p, c, 200000, seed)
+		got, err := MeasureMissRate(ctx, p, c, 200000, seed)
 		if err != nil {
 			return Profile{}, err
 		}
@@ -124,18 +134,23 @@ func CalibrateProfile(l1Target, l2Ratio float64, c Config, seed uint64) (Profile
 
 // MeasureMissRate drives refs references from the profile through a
 // fresh cache of the given configuration (after warming it with the
-// same count) and returns the steady-state miss rate.
-func MeasureMissRate(p Profile, c Config, refs int, seed uint64) (float64, error) {
+// same count) and returns the steady-state miss rate. It polls ctx (nil
+// never cancels) every ctxCheckInterval references and returns ctx's
+// error once it is cancelled.
+func MeasureMissRate(ctx context.Context, p Profile, c Config, refs int, seed uint64) (float64, error) {
 	cc, err := New(c)
 	if err != nil {
 		return 0, err
 	}
 	rng := prng.New(seed)
-	for i := 0; i < refs; i++ { // warm
-		cc.Access(p.Next(rng), false)
-	}
-	warm := cc.Stats()
-	for i := 0; i < refs; i++ {
+	var warm Stats
+	for i := 0; i < 2*refs; i++ {
+		if ctx != nil && i%ctxCheckInterval == 0 && ctx.Err() != nil {
+			return 0, fmt.Errorf("cache: miss-rate measurement cancelled: %w", ctx.Err())
+		}
+		if i == refs { // the first refs references only warm the cache
+			warm = cc.Stats()
+		}
 		cc.Access(p.Next(rng), false)
 	}
 	st := cc.Stats()

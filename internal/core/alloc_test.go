@@ -122,3 +122,21 @@ func benchArbitrate(b *testing.B, radix int) {
 
 func BenchmarkArbitrateHotLoop(b *testing.B)    { benchArbitrate(b, 64) }
 func BenchmarkArbitrateHotLoop128(b *testing.B) { benchArbitrate(b, 128) }
+
+// TestNewAllocs pins the constructor's allocation count at the paper's
+// design point (radix 64, 4 layers, 4 channels, input-binned CLRG with
+// 3 classes): every served Hi-Rise job builds a fresh switch. New makes
+// 15: the switch, the grants buffer, the int, bool, int64 and
+// request-word slabs, the bitset headers, the local-arbiter interface
+// slice and its LRG structs and stamp slab, the sub-blocks, and the CLRG
+// structs, stamps, counters and masks.
+func TestNewAllocs(t *testing.T) {
+	cfg := topo.Default64()
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 15 {
+		t.Errorf("New(%v) allocated %v times, want 15", cfg, got)
+	}
+}

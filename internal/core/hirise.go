@@ -84,18 +84,22 @@ type Switch struct {
 	// Scratch buffers, reused every cycle. The request masks are
 	// word-parallel bitsets (internal/bitvec): clearing and granting
 	// cost one machine-word operation per 64 local inputs, mirroring
-	// the bit-parallel priority lines of the hardware arbiter.
-	grants     []topo.Grant // Arbitrate's return buffer, valid until the next call
-	intermReq  []bitvec.Vec // per output: local-input request mask
-	chReq      []bitvec.Vec // per L2LC: local-input request mask
-	destReq    []bitvec.Vec // per (layer, dest layer): mask for priority-based allocation
-	intermWin  []int        // per output: local winner (local index), -1 if none
-	chWin      []int        // per L2LC: local winner (local index), -1 if none
-	chWeight   []int        // per L2LC: requestor count this cycle (WLRG)
-	outLineReq []bitvec.Vec // per output: sub-block line request mask
-	lineInput  []int        // per output*lines+line: requesting global input
-	lineWeight []int
-	lineCh     []int // global L2LC id per line, -1 for the intermediate line
+	// the bit-parallel priority lines of the hardware arbiter. The
+	// touched sets record which masks a cycle wrote, so the next cycle
+	// clears, grants and walks only those: the work per cycle follows
+	// the requests, not the crosspoints.
+	grants      []topo.Grant // Arbitrate's return buffer, valid until the next call
+	intermReq   []bitvec.Vec // per output: local-input request mask
+	chReq       []bitvec.Vec // per L2LC: local-input request mask
+	destReq     []bitvec.Vec // per (layer, dest layer): mask for priority-based allocation
+	outLineReq  []bitvec.Vec // per output: sub-block line request mask
+	touchedOut  bitvec.Vec   // outputs whose intermReq or outLineReq is set
+	touchedCh   bitvec.Vec   // L2LCs whose chReq is set (binned allocation)
+	touchedPair bitvec.Vec   // (layer, dest layer) pairs whose destReq is set
+	lines       int          // sub-block lines per output
+	lineInput   []int        // per output*lines+line: requesting global input
+	lineWeight  []int
+	lineCh      []int // global L2LC id per line, -1 for the intermediate line
 }
 
 type subBlock struct {
@@ -117,48 +121,55 @@ func Validate(cfg topo.Config) error {
 	return nil
 }
 
-// New returns a Hi-Rise switch for the given configuration.
+// New returns a Hi-Rise switch for the given configuration. Its state
+// is carved from a few slabs the switch owns: one per element type for
+// the per-port and per-channel tables, one for every request bitset, and
+// one per arbiter family (arb.NewLRGs and its kin), so building a switch
+// costs about fifteen allocations however large it is.
 func New(cfg topo.Config) (*Switch, error) {
 	if err := Validate(cfg); err != nil {
 		return nil, err
 	}
-	n, ports := cfg.Radix, cfg.PortsPerLayer()
-	lines := cfg.SubBlockInputs()
+	n, ports, nch := cfg.Radix, cfg.PortsPerLayer(), cfg.NumL2LC()
+	lines, pairs := cfg.SubBlockInputs(), cfg.Layers*cfg.Layers
 
-	s := &Switch{
-		cfg:        cfg,
-		ports:      ports,
-		interArb:   make([]arb.Arbiter, n),
-		chArb:      make([]arb.Arbiter, cfg.NumL2LC()),
-		subs:       make([]subBlock, n),
-		heldOut:    make([]int, n),
-		heldCh:     make([]int, n),
-		outIn:      make([]int, n),
-		chBusy:     make([]bool, cfg.NumL2LC()),
-		chFailed:   make([]bool, cfg.NumL2LC()),
-		chGrants:   make([]int64, cfg.NumL2LC()),
-		outGrants:  make([]int64, n),
-		intermReq:  make([]bitvec.Vec, n),
-		chReq:      make([]bitvec.Vec, cfg.NumL2LC()),
-		destReq:    make([]bitvec.Vec, cfg.Layers*cfg.Layers),
-		intermWin:  make([]int, n),
-		chWin:      make([]int, cfg.NumL2LC()),
-		chWeight:   make([]int, cfg.NumL2LC()),
-		outLineReq: make([]bitvec.Vec, n),
-		lineInput:  make([]int, n*lines),
-		lineWeight: make([]int, n*lines),
-		lineCh:     make([]int, n*lines),
-		layerOf:    make([]int, n),
-		localIdx:   make([]int, n),
-		localMod:   make([]int, n),
-		cidBase:    make([]int, cfg.Layers*cfg.Layers),
-		cidLine:    make([]int, cfg.NumL2LC()),
-		cidSrc:     make([]int, cfg.NumL2LC()),
+	s := &Switch{cfg: cfg, ports: ports, lines: lines, grants: make([]topo.Grant, 0, n)}
+
+	ints := make([]int, 6*n+3*n*lines+pairs+2*nch)
+	s.heldOut, s.heldCh, s.outIn = carve(&ints, n), carve(&ints, n), carve(&ints, n)
+	s.layerOf, s.localIdx, s.localMod = carve(&ints, n), carve(&ints, n), carve(&ints, n)
+	s.lineInput, s.lineWeight, s.lineCh = carve(&ints, n*lines), carve(&ints, n*lines), carve(&ints, n*lines)
+	s.cidBase, s.cidLine, s.cidSrc = carve(&ints, pairs), carve(&ints, nch), carve(&ints, nch)
+	flags := make([]bool, 2*nch)
+	s.chBusy, s.chFailed = carve(&flags, nch), carve(&flags, nch)
+	counts := make([]int64, nch+n)
+	s.chGrants, s.outGrants = carve(&counts, nch), carve(&counts, n)
+
+	pw, lw := bitvec.WordsFor(ports), bitvec.WordsFor(lines)
+	vecs := make([]bitvec.Vec, 2*n+nch+pairs)
+	s.intermReq, s.outLineReq = carve(&vecs, n), carve(&vecs, n)
+	s.chReq, s.destReq = carve(&vecs, nch), carve(&vecs, pairs)
+	words := make([]uint64, (n+nch+pairs)*pw+n*lw+
+		bitvec.WordsFor(n)+bitvec.WordsFor(nch)+bitvec.WordsFor(pairs))
+	for o := 0; o < n; o++ {
+		s.intermReq[o] = carve(&words, pw)
+		s.outLineReq[o] = carve(&words, lw)
 	}
+	for c := range s.chReq {
+		s.chReq[c] = carve(&words, pw)
+	}
+	for d := range s.destReq {
+		s.destReq[d] = carve(&words, pw)
+	}
+	s.touchedOut = carve(&words, bitvec.WordsFor(n))
+	s.touchedCh = carve(&words, bitvec.WordsFor(nch))
+	s.touchedPair = carve(&words, bitvec.WordsFor(pairs))
+
 	for p := 0; p < n; p++ {
 		s.layerOf[p] = cfg.LayerOf(p)
 		s.localIdx[p] = cfg.LocalIndex(p)
 		s.localMod[p] = cfg.LocalIndex(p) % cfg.Channels
+		s.heldOut[p], s.heldCh[p], s.outIn[p] = -1, -1, -1
 	}
 	for l := 0; l < cfg.Layers; l++ {
 		for d := 0; d < cfg.Layers; d++ {
@@ -173,49 +184,63 @@ func New(cfg topo.Config) (*Switch, error) {
 			}
 		}
 	}
-	// The iSLIP-1 analog swaps the LRG priority vectors for round-robin
-	// pointers at both stages. Accept-gating happens structurally: Update
-	// on these arbiters runs only during grant back-propagation, i.e.
-	// only for winners whose final connection forms (see arb.RoundRobin's
-	// pointer-semantics audit comment).
-	newLocal := func() arb.Arbiter {
-		if cfg.Scheme == topo.ISLIP1 {
-			return arb.NewRoundRobin(ports)
+
+	// The local switches: one arbiter per intermediate output, then one
+	// per L2LC, all over the layer's inputs. The iSLIP-1 analog swaps
+	// the LRG priority vectors for round-robin pointers at both stages.
+	// Accept-gating happens structurally: Update on these arbiters runs
+	// only during grant back-propagation, i.e. only for winners whose
+	// final connection forms (see arb.RoundRobin's pointer-semantics
+	// audit comment).
+	local := make([]arb.Arbiter, n+nch)
+	if cfg.Scheme == topo.ISLIP1 {
+		rrs := arb.NewRoundRobins(ports, len(local))
+		for i := range local {
+			local[i] = &rrs[i]
 		}
-		return arb.NewLRG(ports)
+	} else {
+		lrgs := arb.NewLRGs(ports, len(local))
+		for i := range local {
+			local[i] = &lrgs[i]
+		}
 	}
-	for o := range s.interArb {
-		s.interArb[o] = newLocal()
-		s.intermReq[o] = bitvec.New(ports)
-		s.outLineReq[o] = bitvec.New(lines)
-		s.subs[o] = newSubBlock(cfg, lines)
-		s.heldOut[o] = -1
-		s.heldCh[o] = -1
-		s.outIn[o] = -1
+	s.interArb, s.chArb = local[:n:n], local[n:]
+
+	s.subs = make([]subBlock, n)
+	for o := range s.subs {
+		s.subs[o].scheme = cfg.Scheme
 	}
-	for c := range s.chArb {
-		s.chArb[c] = newLocal()
-		s.chReq[c] = bitvec.New(ports)
-	}
-	for d := range s.destReq {
-		s.destReq[d] = bitvec.New(ports)
+	switch cfg.Scheme {
+	case topo.WLRG:
+		ws := arb.NewWLRGs(lines, n)
+		for o := range s.subs {
+			s.subs[o].wlrg = &ws[o]
+		}
+	case topo.CLRG:
+		cs := arb.NewCLRGs(lines, n, cfg.Classes, n)
+		for o := range s.subs {
+			s.subs[o].clrg = &cs[o]
+		}
+	case topo.ISLIP1:
+		rrs := arb.NewRoundRobins(lines, n)
+		for o := range s.subs {
+			s.subs[o].plain = &rrs[o]
+		}
+	default: // LRG on a hierarchical switch is the baseline L-2-L LRG
+		lrgs := arb.NewLRGs(lines, n)
+		for o := range s.subs {
+			s.subs[o].plain = &lrgs[o]
+		}
 	}
 	return s, nil
 }
 
-func newSubBlock(cfg topo.Config, lines int) subBlock {
-	sb := subBlock{scheme: cfg.Scheme}
-	switch cfg.Scheme {
-	case topo.WLRG:
-		sb.wlrg = arb.NewWLRG(lines)
-	case topo.CLRG:
-		sb.clrg = arb.NewCLRG(lines, cfg.Radix, cfg.Classes)
-	case topo.ISLIP1:
-		sb.plain = arb.NewRoundRobin(lines)
-	default: // LRG on a hierarchical switch is the baseline L-2-L LRG
-		sb.plain = arb.NewLRG(lines)
-	}
-	return sb
+// carve splits the first k elements off *slab, capacity-limited so that
+// no part can grow into its neighbour.
+func carve[T any](slab *[]T, k int) []T {
+	part := (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	return part
 }
 
 // Radix returns the total port count.
@@ -265,29 +290,24 @@ func (s *Switch) lineFor(d, src, ch int) int {
 // formed; each persists until Release. The returned slice is a scratch
 // buffer reused by the next Arbitrate call, so callers must consume it
 // before re-arbitrating (every simulator in this repository does).
+//
+// Past the one scan of req, the cycle costs in proportion to the
+// requests: it clears the masks the previous cycle touched, grants only
+// the arbiters that have a request, and walks only the outputs that
+// have a contending line. An untouched arbiter would have granted -1 on
+// an empty mask without changing state, and the outputs are walked in
+// ascending order, so the grants are those of a full scan (refSwitch in
+// ref_test.go is that scan, kept as the oracle).
 func (s *Switch) Arbitrate(req []int) []topo.Grant {
 	if len(req) != s.cfg.Radix {
 		panic(fmt.Sprintf("core: request vector length %d, want %d", len(req), s.cfg.Radix))
 	}
 	cfg := s.cfg
 	s.cycles++
+	s.clearTouched()
 
-	// Phase 1a: build local-switch request masks.
-	for o := range s.intermReq {
-		s.intermReq[o].Zero()
-		s.outLineReq[o].Zero()
-		s.intermWin[o] = -1
-	}
-	for c := range s.chReq {
-		s.chReq[c].Zero()
-		s.chWin[c] = -1
-		s.chWeight[c] = 0
-	}
-	if cfg.Alloc == topo.PriorityBased {
-		for d := range s.destReq {
-			s.destReq[d].Zero()
-		}
-	}
+	// Phase 1a: build local-switch request masks, marking each mask set.
+	priorityBased := cfg.Alloc == topo.PriorityBased
 	outputBinned := cfg.Alloc == topo.OutputBinned
 	for in, o := range req {
 		if o < 0 || s.heldOut[in] >= 0 || s.outIn[o] >= 0 {
@@ -300,10 +320,13 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 		d := s.layerOf[o]
 		if d == l {
 			s.intermReq[o].Set(li)
+			s.touchedOut.Set(o)
 			continue
 		}
-		if cfg.Alloc == topo.PriorityBased {
-			s.destReq[l*cfg.Layers+d].Set(li)
+		if priorityBased {
+			p := l*cfg.Layers + d
+			s.destReq[p].Set(li)
+			s.touchedPair.Set(p)
 			continue
 		}
 		ch := s.localMod[in]
@@ -319,7 +342,7 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 		}
 		if !s.chBusy[cid] {
 			s.chReq[cid].Set(li)
-			s.chWeight[cid]++
+			s.touchedCh.Set(cid)
 		}
 	}
 
@@ -330,22 +353,21 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 		s.maskFailedInputs()
 	}
 
-	// Phase 1b: local-switch arbitration.
-	for o := range s.intermReq {
-		s.intermWin[o] = s.interArb[o].Grant(s.intermReq[o])
-	}
-	if cfg.Alloc == topo.PriorityBased {
+	// Phases 1b and 2a: L2LC arbitration at the local switches, each
+	// channel winner offered at once on its line of the sub-block of the
+	// output it requested. The intermediate-output arbiters run as phase
+	// 2b reaches their outputs; every arbiter an output's round depends
+	// on has granted before any update, as in the single-cycle hardware.
+	if priorityBased {
 		// Channels to a destination fill in priority order: each channel's
 		// arbiter picks among the requestors the earlier channels left.
-		for l := 0; l < cfg.Layers; l++ {
-			for d := 0; d < cfg.Layers; d++ {
-				if d == l {
-					continue
-				}
-				remaining := s.destReq[l*cfg.Layers+d]
+		for pw, word := range s.touchedPair {
+			for word != 0 {
+				p := pw<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				remaining := s.destReq[p]
 				left := remaining.Count()
-				for ch := 0; ch < cfg.Channels && left > 0; ch++ {
-					cid := cfg.L2LCID(l, d, ch)
+				for cid := s.cidBase[p]; cid < s.cidBase[p]+cfg.Channels && left > 0; cid++ {
 					if s.chBusy[cid] || s.chFailed[cid] {
 						continue
 					}
@@ -353,118 +375,148 @@ func (s *Switch) Arbitrate(req []int) []topo.Grant {
 					if w < 0 {
 						break
 					}
-					s.chWin[cid] = w
-					s.chWeight[cid] = left
+					s.offer(req, cid, w, left)
 					remaining.Clear(w)
 					left--
 				}
 			}
 		}
 	} else {
-		for c := range s.chReq {
-			s.chWin[c] = s.chArb[c].Grant(s.chReq[c])
-		}
-	}
-
-	// Phase 2a: scatter channel winners to their target outputs'
-	// sub-block request vectors. Each channel winner targets exactly one
-	// output (the one its winning input requested), so this touches one
-	// entry per L2LC instead of scanning every (output, source layer,
-	// channel) triple; the per-output bitset is order-insensitive, so
-	// the grants are identical to the output-major scan.
-	grants := s.grants[:0]
-	lines := cfg.SubBlockInputs()
-	for cid, w := range s.chWin {
-		if w < 0 {
-			continue
-		}
-		gi := s.cidSrc[cid]*s.ports + w
-		o := req[gi]
-		line := s.cidLine[cid]
-		s.outLineReq[o].Set(line)
-		base := o * lines
-		s.lineInput[base+line] = gi
-		s.lineWeight[base+line] = s.chWeight[cid]
-		s.lineCh[base+line] = cid
-	}
-
-	// Phase 2b: inter-layer sub-block arbitration per idle final output.
-	for o := 0; o < cfg.Radix; o++ {
-		if s.outIn[o] >= 0 {
-			continue
-		}
-		if s.portFaults && s.outFailed.Get(o) {
-			continue // defense in depth: the build loop already skipped it
-		}
-		lineReq := s.outLineReq[o]
-		base := o * lines
-		if w := s.intermWin[o]; w >= 0 {
-			line := lines - 1
-			lineReq.Set(line)
-			s.lineInput[base+line] = s.layerOf[o]*s.ports + w
-			s.lineWeight[base+line] = s.intermReq[o].Count()
-			s.lineCh[base+line] = -1
-		}
-		if lineReq.None() {
-			continue
-		}
-		lineInput := s.lineInput[base : base+lines]
-
-		sb := &s.subs[o]
-		var win int
-		switch sb.scheme {
-		case topo.WLRG:
-			win = sb.wlrg.Grant(lineReq)
-		case topo.CLRG:
-			win = sb.clrg.Grant(lineReq, lineInput)
-		default:
-			win = sb.plain.Grant(lineReq)
-		}
-		if s.audit != nil {
-			// Class-less schemes audit here, one observation per
-			// contending line (CLRG audits inside arb.CLRG.Grant with
-			// the real class; these report class 0).
-			for w, word := range lineReq {
-				for word != 0 {
-					line := w<<6 | bits.TrailingZeros64(word)
-					word &= word - 1
-					s.audit.Observe(lineInput[line], 0, line == win)
+		for cw, word := range s.touchedCh {
+			for word != 0 {
+				cid := cw<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				if w := s.chArb[cid].Grant(s.chReq[cid]); w >= 0 {
+					s.offer(req, cid, w, s.chReq[cid].Count())
 				}
 			}
 		}
-		if win < 0 {
-			continue
-		}
-		gi := lineInput[win]
-		switch sb.scheme {
-		case topo.WLRG:
-			sb.wlrg.Update(win, s.lineWeight[base+win])
-		case topo.CLRG:
-			sb.clrg.Update(win, gi)
-		default:
-			sb.plain.Update(win)
-		}
+	}
 
-		// Back-propagate the local-switch priority update to the winner.
-		if cid := s.lineCh[base+win]; cid >= 0 {
-			s.chArb[cid].Update(s.localIdx[gi])
-			s.chBusy[cid] = true
-			s.heldCh[gi] = cid
-			s.chGrants[cid]++
-			if s.rec != nil {
-				s.rec.Record(s.cycles-1, obs.EvL2LC, gi, o, cid)
+	// Phase 2b: inter-layer sub-block arbitration at every output with a
+	// request, in ascending order. A touched output is idle and in
+	// service: phase 1a marks only such outputs, a channel winner's
+	// output is one its input marked, and each output is visited once.
+	grants := s.grants[:0]
+	lines := s.lines
+	for ow, oword := range s.touchedOut {
+		for oword != 0 {
+			o := ow<<6 | bits.TrailingZeros64(oword)
+			oword &= oword - 1
+			lineReq := s.outLineReq[o]
+			base := o * lines
+			if w := s.interArb[o].Grant(s.intermReq[o]); w >= 0 {
+				line := lines - 1
+				lineReq.Set(line)
+				s.lineInput[base+line] = s.layerOf[o]*s.ports + w
+				s.lineWeight[base+line] = s.intermReq[o].Count()
+				s.lineCh[base+line] = -1
 			}
-		} else {
-			s.interArb[o].Update(s.localIdx[gi])
-			s.localPath++
+			if lineReq.None() {
+				continue
+			}
+			lineInput := s.lineInput[base : base+lines]
+
+			sb := &s.subs[o]
+			var win int
+			switch sb.scheme {
+			case topo.WLRG:
+				win = sb.wlrg.Grant(lineReq)
+			case topo.CLRG:
+				win = sb.clrg.Grant(lineReq, lineInput)
+			default:
+				win = sb.plain.Grant(lineReq)
+			}
+			if s.audit != nil {
+				// Class-less schemes audit here, one observation per
+				// contending line (CLRG audits inside arb.CLRG.Grant with
+				// the real class; these report class 0).
+				for w, word := range lineReq {
+					for word != 0 {
+						line := w<<6 | bits.TrailingZeros64(word)
+						word &= word - 1
+						s.audit.Observe(lineInput[line], 0, line == win)
+					}
+				}
+			}
+			if win < 0 {
+				continue
+			}
+			gi := lineInput[win]
+			switch sb.scheme {
+			case topo.WLRG:
+				sb.wlrg.Update(win, s.lineWeight[base+win])
+			case topo.CLRG:
+				sb.clrg.Update(win, gi)
+			default:
+				sb.plain.Update(win)
+			}
+
+			// Back-propagate the local-switch priority update to the winner.
+			if cid := s.lineCh[base+win]; cid >= 0 {
+				s.chArb[cid].Update(s.localIdx[gi])
+				s.chBusy[cid] = true
+				s.heldCh[gi] = cid
+				s.chGrants[cid]++
+				if s.rec != nil {
+					s.rec.Record(s.cycles-1, obs.EvL2LC, gi, o, cid)
+				}
+			} else {
+				s.interArb[o].Update(s.localIdx[gi])
+				s.localPath++
+			}
+			s.outGrants[o]++
+			s.heldOut[gi] = o
+			s.outIn[o] = gi
+			grants = append(grants, topo.Grant{In: gi, Out: o})
 		}
-		s.outGrants[o]++
-		s.heldOut[gi] = o
-		s.outIn[o] = gi
-		grants = append(grants, topo.Grant{In: gi, Out: o})
 	}
 	s.grants = grants
 	return grants
+}
+
+// offer puts L2LC cid's local winner w (a local index), with weight
+// requestors behind it, on the channel's line of the sub-block of the
+// output w requested. Each channel has its own line at that sub-block,
+// so the order of offers does not matter.
+func (s *Switch) offer(req []int, cid, w, weight int) {
+	gi := s.cidSrc[cid]*s.ports + w
+	o := req[gi]
+	line := s.cidLine[cid]
+	s.outLineReq[o].Set(line)
+	s.touchedOut.Set(o)
+	k := o*s.lines + line
+	s.lineInput[k] = gi
+	s.lineWeight[k] = weight
+	s.lineCh[k] = cid
+}
+
+// clearTouched empties the request masks the previous cycle set, and
+// the touched sets themselves. Every other mask is already empty.
+func (s *Switch) clearTouched() {
+	for w, word := range s.touchedOut {
+		for word != 0 {
+			o := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			s.intermReq[o].Zero()
+			s.outLineReq[o].Zero()
+		}
+	}
+	for w, word := range s.touchedCh {
+		for word != 0 {
+			s.chReq[w<<6|bits.TrailingZeros64(word)].Zero()
+			word &= word - 1
+		}
+	}
+	for w, word := range s.touchedPair {
+		for word != 0 {
+			s.destReq[w<<6|bits.TrailingZeros64(word)].Zero()
+			word &= word - 1
+		}
+	}
+	s.touchedOut.Zero()
+	s.touchedCh.Zero()
+	s.touchedPair.Zero()
 }
 
 // Release frees the connection held by input in after its last flit. It
@@ -577,26 +629,29 @@ func (s *Switch) refreshPortFaults() {
 }
 
 // maskFailedInputs clears every failed input's bit from the phase-1
-// request vectors (and keeps the WLRG weights consistent with the
-// masked masks). Called only while a port fault is active.
+// request vectors this cycle set. Called only while a port fault is
+// active.
 func (s *Switch) maskFailedInputs() {
-	cfg := s.cfg
-	for o := range s.intermReq {
-		s.intermReq[o].AndNot(s.inFailed[s.layerOf[o]])
-	}
-	if cfg.Alloc == topo.PriorityBased {
-		for l := 0; l < cfg.Layers; l++ {
-			for d := 0; d < cfg.Layers; d++ {
-				if d != l {
-					s.destReq[l*cfg.Layers+d].AndNot(s.inFailed[l])
-				}
-			}
+	for w, word := range s.touchedOut {
+		for word != 0 {
+			o := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			s.intermReq[o].AndNot(s.inFailed[s.layerOf[o]])
 		}
-		return
 	}
-	for c := range s.chReq {
-		s.chReq[c].AndNot(s.inFailed[s.cidSrc[c]])
-		s.chWeight[c] = s.chReq[c].Count()
+	for w, word := range s.touchedPair {
+		for word != 0 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			s.destReq[p].AndNot(s.inFailed[p/s.cfg.Layers])
+		}
+	}
+	for w, word := range s.touchedCh {
+		for word != 0 {
+			c := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			s.chReq[c].AndNot(s.inFailed[s.cidSrc[c]])
+		}
 	}
 }
 

@@ -90,12 +90,12 @@ func TestArbitrateZeroAllocsWithFaults(t *testing.T) {
 
 // TestNewAllocs pins the constructor's allocation count: fabric builds
 // one switch per router, so these scale with network size. New(64)
-// makes 8: the switch, the LRG structs and their order and pos slabs,
-// the arbiter slice, the request-mask headers, the mask words slab and
-// the connection-map slab.
+// makes 7: the switch, the LRG structs and their stamp slab, the arbiter
+// slice, the request-mask headers, the mask words slab and the
+// connection-map slab.
 func TestNewAllocs(t *testing.T) {
-	if got := testing.AllocsPerRun(20, func() { New(64) }); got != 8 {
-		t.Errorf("New(64) allocated %v times, want 8", got)
+	if got := testing.AllocsPerRun(20, func() { New(64) }); got != 7 {
+		t.Errorf("New(64) allocated %v times, want 7", got)
 	}
 }
 

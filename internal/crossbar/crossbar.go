@@ -50,7 +50,7 @@ type Switch struct {
 // New returns an N×N crossbar with LRG arbitration at every output, the
 // configuration the paper's 2D baseline uses.
 func New(radix int) *Switch {
-	lrgs := arb.NewLRGs(radix, radix) // slab-backed: 3 allocs for all columns
+	lrgs := arb.NewLRGs(radix, radix) // slab-backed: 2 allocs for all columns
 	arbs := make([]arb.Arbiter, radix)
 	for i := range arbs {
 		arbs[i] = &lrgs[i]

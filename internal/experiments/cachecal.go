@@ -29,7 +29,7 @@ func CacheMPKI(o Opts) (*Table, error) {
 		}
 		target := b.NetMPKI / 1000 / memRefsPerInstr
 		p := cache.ForMissRate(target, cache.L1D())
-		measured, err := cache.MeasureMissRate(p, cache.L1D(), refs, o.seedFor("cache-mpki", i, 0))
+		measured, err := cache.MeasureMissRate(o.ctx, p, cache.L1D(), refs, o.seedFor("cache-mpki", i, 0))
 		if err != nil {
 			return nil, err
 		}

@@ -92,23 +92,17 @@ func TestRunCtxRejectsNegativeWindows(t *testing.T) {
 	}
 }
 
-// quickOnly are the experiments whose models do not poll ctx: the
-// many-core system and the cache calibration. They run at QuickOpts
-// windows and may finish before the cancel lands.
-var quickOnly = map[string]bool{"table6": true, "table6-addr": true, "table6-detail": true, "cache-mpki": true}
-
 // TestRunCtxCancelEveryExperiment: cancelling any registered experiment
 // mid-run returns context.Canceled and no table, or a complete table,
-// and never panics. The cycle-loop experiments get windows far too
-// long to finish, so the cancel always lands inside a simulation.
+// and never panics. Every experiment gets windows far too long to
+// finish, so the cancel lands inside any simulation it runs: the cycle
+// loops, the many-core system and the cache calibration all poll ctx.
 func TestRunCtxCancelEveryExperiment(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			o := QuickOpts()
 			o.Workers = 2
-			if !quickOnly[id] {
-				o.Warmup, o.Measure = 10_000_000, 2_000_000_000
-			}
+			o.Warmup, o.Measure = 10_000_000, 2_000_000_000
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			time.AfterFunc(20*time.Millisecond, cancel)

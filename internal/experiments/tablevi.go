@@ -25,12 +25,12 @@ func runMix(o Opts, d Design, benches []trace.Benchmark, seed uint64, addressMod
 		SwitchGHz:   d.Cost(o.Tech).FreqGHz,
 		AddressMode: addressMode,
 		Warmup:      o.Warmup * 2, Measure: o.Measure * 2,
-		Seed: seed,
+		Seed: seed, Ctx: o.ctx,
 	}, d.NewSwitch(), benches)
 	if err != nil {
 		return manycore.Result{}, err
 	}
-	return sys.Run(), nil
+	return sys.Run()
 }
 
 // runMixPair runs mix i of experiment id under both Table VI designs.

@@ -15,6 +15,7 @@
 package manycore
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -70,6 +71,11 @@ type Config struct {
 	// L1 and L2Bank override the Table III cache geometries in address
 	// mode.
 	L1, L2Bank cache.Config
+
+	// Ctx, when non-nil, makes the system cancellable: New's cache
+	// calibration and Run poll it every few thousand references or core
+	// cycles and return its error. See sim.Config.Ctx.
+	Ctx context.Context
 
 	// Obs, when non-nil, attaches observability sinks (internal/obs) to
 	// the system and its switch. Trace events are keyed by the switch
@@ -278,7 +284,7 @@ func New(cfg Config, sw sim.Switch, benches []trace.Benchmark) (*System, error) 
 				profiles[b.Name] = v.(cache.Profile)
 				continue
 			}
-			p, err := cache.CalibrateProfile(target, b.L2MissRatio, cfg.L1, 1)
+			p, err := cache.CalibrateProfile(cfg.Ctx, target, b.L2MissRatio, cfg.L1, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -362,11 +368,20 @@ func (s *System) mcPort(bank int) int {
 	return (bank / region) * region
 }
 
-// Run executes the configured windows and returns measurements.
-func (s *System) Run() Result {
+// ctxCheckInterval is how often, in core cycles, a cancellable Run
+// polls its context: a 64-core cycle is a few microseconds, so a
+// cancelled run stops within milliseconds at no measurable cost.
+const ctxCheckInterval = 1024
+
+// Run executes the configured windows and returns measurements, or the
+// context's error if Config.Ctx is cancelled first.
+func (s *System) Run() (Result, error) {
 	total := s.cfg.Warmup + s.cfg.Measure
 	ratio := s.cfg.SwitchGHz / s.cfg.CoreGHz
 	for cycle := int64(0); cycle < total; cycle++ {
+		if s.cfg.Ctx != nil && cycle%ctxCheckInterval == 0 && s.cfg.Ctx.Err() != nil {
+			return Result{}, fmt.Errorf("manycore: run cancelled at cycle %d: %w", cycle, s.cfg.Ctx.Err())
+		}
 		if !s.measuring && cycle >= s.cfg.Warmup {
 			for _, t := range s.tiles {
 				if t.l1 != nil {
@@ -404,7 +419,7 @@ func (s *System) Run() Result {
 			res.AvgL1MPKI += float64(misses) / float64(instr) * 1000 / float64(s.cfg.Cores)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // switchCycle runs one arbitration + flit cycle of the interconnect.

@@ -1,8 +1,11 @@
 package manycore
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"github.com/reprolab/hirise/internal/cache"
 	"github.com/reprolab/hirise/internal/core"
 	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/sim"
@@ -33,7 +36,34 @@ func mustRun(t testing.TB, cfg Config, sw sim.Switch, benches []trace.Benchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys.Run()
+	r, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestRunCancelled: a cancelled Config.Ctx stops Run, and the address
+// mode's cache calibration in New, with the context's error.
+func TestRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := quickCfg()
+	cfg.Ctx = ctx
+	sys, err := New(cfg, crossbar.New(64), uniformBenches(t, "mcf", 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run err = %v, want context.Canceled", err)
+	}
+	// An L1 geometry no other test uses, so no memoized profile skips
+	// the calibration.
+	cfg.AddressMode = true
+	cfg.L1 = cache.Config{SizeBytes: 24 << 10, Ways: 3, BlockBytes: 64}
+	if _, err := New(cfg, crossbar.New(64), uniformBenches(t, "milc", 64)); !errors.Is(err, context.Canceled) {
+		t.Errorf("address-mode New err = %v, want context.Canceled", err)
+	}
 }
 
 func TestLowMPKIRunsNearIssueWidth(t *testing.T) {
