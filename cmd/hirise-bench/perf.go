@@ -43,44 +43,51 @@ type perfFile struct {
 	Baseline   []perfResult `json:"baseline,omitempty"`
 }
 
-// perfSuite lists the hot-kernel microbenchmarks -perf runs: the two
-// switch models' arbitration hot loops at radix 64 and 128, the
-// bit-level cross-point columns, and the end-to-end uniform-traffic
-// simulations. These are the same workloads as the testing benchmarks
-// in internal/core, internal/crossbar, internal/xpoint, and
-// internal/sim, so numbers are comparable with `go test -bench`.
-func perfSuite() []struct {
+// perfRow is one -perf microbenchmark. note, when set, points at a
+// line the row's last run leaves for stderr.
+type perfRow struct {
 	name string
 	fn   func(b *testing.B)
-} {
-	return []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"core/ArbitrateHotLoop/radix=64", perfCore(64)},
-		{"core/ArbitrateHotLoop/radix=128", perfCore(128)},
-		{"crossbar/ArbitrateHotLoop/radix=64", perfCrossbar(64)},
-		{"crossbar/ArbitrateHotLoop/radix=128", perfCrossbar(128)},
-		{"xpoint/ColumnArbitrate/n=64", perfColumn(64)},
-		{"xpoint/ColumnArbitrate/n=128", perfColumn(128)},
-		{"xpoint/CLRGColumnArbitrate/n=13", perfCLRGColumn()},
-		{"sched/ISLIP2Schedule/n=64", perfSched(sched.NewISLIP(64, 2), 64)},
-		{"sched/ISLIP2Schedule/n=128", perfSched(sched.NewISLIP(128, 2), 128)},
-		{"sched/WavefrontSchedule/n=64", perfSched(sched.NewWavefront(64), 64)},
-		{"sched/WavefrontSchedule/n=128", perfSched(sched.NewWavefront(128), 128)},
-		{"sched/MWMSchedule/n=32", perfSched(sched.NewMWM(32), 32)},
-		{"sim/Uniform2D/radix=64", perfSim(func() sim.Switch { return crossbar.New(64) })},
-		{"sim/UniformHiRiseCLRG/radix=64", perfSim(func() sim.Switch {
+	note *string
+}
+
+// perfSuite lists the hot-kernel microbenchmarks -perf runs: the two
+// switch models' arbitration hot loops at radix 64 and 128, the
+// bit-level cross-point columns, the end-to-end uniform-traffic
+// simulations, and the served-result store's layers. The kernel and
+// simulation rows are the same workloads as the testing benchmarks in
+// internal/core, internal/crossbar, internal/xpoint, and internal/sim,
+// so numbers are comparable with `go test -bench`.
+func perfSuite() []perfRow {
+	var putSplit string
+	return []perfRow{
+		{name: "core/ArbitrateHotLoop/radix=64", fn: perfCore(64)},
+		{name: "core/ArbitrateHotLoop/radix=128", fn: perfCore(128)},
+		{name: "crossbar/ArbitrateHotLoop/radix=64", fn: perfCrossbar(64)},
+		{name: "crossbar/ArbitrateHotLoop/radix=128", fn: perfCrossbar(128)},
+		{name: "xpoint/ColumnArbitrate/n=64", fn: perfColumn(64)},
+		{name: "xpoint/ColumnArbitrate/n=128", fn: perfColumn(128)},
+		{name: "xpoint/CLRGColumnArbitrate/n=13", fn: perfCLRGColumn()},
+		{name: "sched/ISLIP2Schedule/n=64", fn: perfSched(sched.NewISLIP(64, 2), 64)},
+		{name: "sched/ISLIP2Schedule/n=128", fn: perfSched(sched.NewISLIP(128, 2), 128)},
+		{name: "sched/WavefrontSchedule/n=64", fn: perfSched(sched.NewWavefront(64), 64)},
+		{name: "sched/WavefrontSchedule/n=128", fn: perfSched(sched.NewWavefront(128), 128)},
+		{name: "sched/MWMSchedule/n=32", fn: perfSched(sched.NewMWM(32), 32)},
+		{name: "sim/Uniform2D/radix=64", fn: perfSim(func() sim.Switch { return crossbar.New(64) })},
+		{name: "sim/UniformHiRiseCLRG/radix=64", fn: perfSim(func() sim.Switch {
 			sw, err := core.New(topo.Default64())
 			if err != nil {
 				panic(err)
 			}
 			return sw
 		})},
-		{"sim/VOQ/radix=64", perfVOQ(64)},
-		{"fabric/DragonflySaturation/routers=72", perfFabric(
+		{name: "sim/VOQ/radix=64", fn: perfVOQ(64)},
+		{name: "fabric/DragonflySaturation/routers=72", fn: perfFabric(
 			fabric.Dragonfly{Groups: 9, GroupSize: 8, GlobalPorts: 1, Conc: 2, Lanes: 1})},
-		{"fabric/MeshSaturation/routers=256", perfFabric(fabric.Mesh{W: 16, H: 16, Conc: 4, Lanes: 1})},
+		{name: "fabric/MeshSaturation/routers=256", fn: perfFabric(fabric.Mesh{W: 16, H: 16, Conc: 4, Lanes: 1})},
+		{name: "store/DiskPut", fn: perfStorePut(&putSplit), note: &putSplit},
+		{name: "store/DiskGet", fn: perfStoreGet},
+		{name: "store/MemHit", fn: perfStoreMemHit},
 	}
 }
 
@@ -439,6 +446,9 @@ func runPerf(outPath, baselinePath string) error {
 		}
 		doc.Benchmarks = append(doc.Benchmarks, pr)
 		row(pr)
+		if bench.note != nil && *bench.note != "" {
+			fmt.Fprintln(os.Stderr, *bench.note)
+		}
 	}
 	campaigns, err := measureCampaigns()
 	if err != nil {

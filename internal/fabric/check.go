@@ -21,10 +21,16 @@ import (
 //     the reservation count equals exactly the in-flight transfers
 //     targeting that slot (recounted over the reverse link map).
 //   - Fast-path state: every output's mirrored free-VC bits equal the
-//     downstream truth (occupancy + reservations < VCBufPkts), every
-//     input's occupancy bits equal its non-empty VCs, and every
-//     memoized route equals a fresh route computation for the buffer's
-//     current head.
+//     downstream truth (occupancy + reservations < VCBufPkts; all VCs on
+//     ejection ports), every input's occupancy and full bits equal its
+//     non-empty and full VCs, every memoized route equals a fresh route
+//     computation for the buffer's current head, and the active-port
+//     bitset equals the ports with a connection.
+//   - Sleeping inputs: an idle input with packets that the request phase
+//     skips (its ready bit is clear) would request nothing that could
+//     be granted if evaluated now, and is registered on every candidate
+//     lane of every head, so the credit or release that would change
+//     that wakes it.
 //   - No VC-cycle occupancy: every buffered packet sits in a VC of the
 //     band matching its class, and classes stay below the topology's
 //     class count — so the class-banded channel order that makes the
@@ -38,16 +44,19 @@ type checker struct {
 }
 
 func newChecker(n *network) *checker {
-	return &checker{n: n, holder: make([]int, len(n.free))}
+	return &checker{n: n, holder: make([]int, len(n.ports))}
 }
 
 // checkGrant validates one grant as the switch hands it out.
 func (c *checker) checkGrant(cycle int64, ni, in, out int) error {
 	n := c.n
-	nd := &n.nodes[ni]
-	if in < 0 || in >= n.radix || nd.req[in] != out {
+	if in < 0 || in >= n.radix {
+		return fmt.Errorf("fabric: checker: cycle %d router %d: grant to input %d of a radix-%d router",
+			cycle, ni, in, n.radix)
+	}
+	if req := n.req[ni*n.radix+in]; req != out {
 		return fmt.Errorf("fabric: checker: cycle %d router %d: grant in=%d out=%d does not match request %d",
-			cycle, ni, in, out, nd.req[in])
+			cycle, ni, in, out, req)
 	}
 	if fs := n.cfg.Faults; fs != nil && out >= n.conc {
 		if fs.LinkFailed(ni, out) {
@@ -64,25 +73,29 @@ func (c *checker) checkGrant(cycle int64, ni, in, out int) error {
 func (c *checker) scan(cycle int64) error {
 	n := c.n
 	classes := len(n.bandMask)
-	for gp := range n.occ {
+	for gp := range n.ports {
+		pt := &n.ports[gp]
 		ni, p := gp/n.radix, gp%n.radix
-		var occ uint64
+		var occ, full uint64
 		for v := 0; v < n.vcs; v++ {
 			slot := gp*n.vcs + v
-			q := &n.vcq[slot]
-			if q.n > 0 {
+			b := &n.vcb[slot]
+			if b.n > 0 {
 				occ |= 1 << v
 			}
-			if q.n+int(n.resv[slot]) > n.cfg.VCBufPkts {
-				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: occupancy %d + reserved %d exceeds buffer %d",
-					cycle, ni, p, v, q.n, n.resv[slot], n.cfg.VCBufPkts)
+			if int(b.n) == n.bufs {
+				full |= 1 << v
 			}
-			for i := 0; i < q.n; i++ {
-				j := q.head + i
-				if j >= len(q.buf) {
-					j -= len(q.buf)
+			if int(b.n+b.resv) > n.bufs {
+				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: occupancy %d + reserved %d exceeds buffer %d",
+					cycle, ni, p, v, b.n, b.resv, n.bufs)
+			}
+			for i := 0; i < int(b.n); i++ {
+				j := int(b.head) + i
+				if j >= n.bufs {
+					j -= n.bufs
 				}
-				cl := int(q.buf[j].class)
+				cl := int(n.pkts[slot*n.bufs+j].class)
 				if cl >= classes {
 					return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: packet class %d out of range (%d classes)",
 						cycle, ni, p, v, cl, classes)
@@ -96,34 +109,87 @@ func (c *checker) scan(cycle int64) error {
 			if memo.lanes == 0 {
 				continue
 			}
-			if q.n == 0 {
+			if b.n == 0 {
 				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: route memo on an empty buffer",
 					cycle, ni, p, v)
 			}
-			if want, retire := n.rc(ni, q.peek()); retire || want != memo {
+			if want, retire := n.rc(ni, n.head(slot)); retire || want != memo {
 				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: memoized route %+v, head routes to %+v (retire %v)",
 					cycle, ni, p, v, memo, want, retire)
 			}
 		}
-		if occ != n.occ[gp] {
-			return fmt.Errorf("fabric: checker: cycle %d router %d port %d: occupancy bits %b, non-empty VCs %b",
-				cycle, ni, p, n.occ[gp], occ)
+		if occ != pt.occ || full != pt.full {
+			return fmt.Errorf("fabric: checker: cycle %d router %d port %d: occupancy bits %b and full bits %b, non-empty VCs %b and full VCs %b",
+				cycle, ni, p, pt.occ, pt.full, occ, full)
 		}
 		// Read as an output, gp mirrors its downstream input's credits.
 		var free uint64
-		if d := n.rt.down[gp]; d >= 0 {
+		if p < n.conc {
+			free = n.vcMask
+		} else if d := n.rt.down[gp]; d >= 0 {
 			for v := 0; v < n.vcs; v++ {
-				if slot := d*n.vcs + v; n.vcq[slot].n+int(n.resv[slot]) < n.cfg.VCBufPkts {
+				if b := &n.vcb[d*n.vcs+v]; int(b.n+b.resv) < n.bufs {
 					free |= 1 << v
 				}
 			}
 		}
-		if free != n.free[gp] {
+		if free != pt.free {
 			return fmt.Errorf("fabric: checker: cycle %d router %d output %d: credit mirror %b, downstream free VCs %b",
-				cycle, ni, p, n.free[gp], free)
+				cycle, ni, p, pt.free, free)
+		}
+		if on := n.active[gp>>6]>>(gp&63)&1 == 1; on != pt.active {
+			return fmt.Errorf("fabric: checker: cycle %d router %d port %d: active bit %v, connection %v",
+				cycle, ni, p, on, pt.active)
+		}
+		if err := c.sleeping(cycle, ni, p); err != nil {
+			return err
 		}
 	}
 	return c.reservations(cycle)
+}
+
+// sleeping checks that input p of router ni, if the request phase skips
+// it, may be skipped (see network.ready): it is registered on every
+// candidate lane of every head, every head is routed, and every head
+// fails VC allocation except, on LRG kernels, at most one whose output
+// is busy and which is last in round-robin order.
+func (c *checker) sleeping(cycle int64, ni, p int) error {
+	n := c.n
+	gp := ni*n.radix + p
+	pt := &n.ports[gp]
+	if pt.active || pt.occ == 0 || n.ready[ni*n.words+p>>6]>>(p&63)&1 == 1 {
+		return nil
+	}
+	if fs := n.cfg.Faults; fs != nil && fs.RouterFailed(ni) {
+		return nil
+	}
+	for occ := pt.occ; occ != 0; occ &= occ - 1 {
+		v := bits.TrailingZeros64(occ)
+		r := &n.routes[gp*n.vcs+v]
+		if r.lanes == 0 {
+			return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: skipped input holds an unrouted head",
+				cycle, ni, p, v)
+		}
+		for j := 0; j < int(r.lanes); j++ {
+			o := int(r.out)
+			if r.lanes > 1 {
+				o = n.lane(r, j)
+			}
+			if n.waiters[o*n.words+p>>6]>>(p&63)&1 == 0 {
+				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: skipped input not waiting on output %d",
+					cycle, ni, p, v, o-ni*n.radix)
+			}
+		}
+		o, free := n.va(r)
+		if free == 0 {
+			continue
+		}
+		if n.kern == nil || !n.kern[ni].Busy(o-ni*n.radix) || (v+1)%n.vcs != int(pt.rr) {
+			return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: skipped input could request output %d",
+				cycle, ni, p, v, o-ni*n.radix)
+		}
+	}
+	return nil
 }
 
 // reservations recounts every slot's reserved credits from the
@@ -135,31 +201,30 @@ func (c *checker) reservations(cycle int64) error {
 	for u := range c.holder {
 		c.holder[u] = -1
 	}
-	for ni := range n.nodes {
-		nd := &n.nodes[ni]
-		for in, on := range nd.active {
-			if !on {
-				continue
-			}
-			u := ni*n.radix + nd.connOut[in]
-			if c.holder[u] >= 0 {
-				return fmt.Errorf("fabric: checker: cycle %d router %d: output %d held by inputs %d and %d",
-					cycle, ni, nd.connOut[in], c.holder[u], in)
-			}
-			c.holder[u] = in
+	for gp := range n.ports {
+		pt := &n.ports[gp]
+		if !pt.active {
+			continue
 		}
+		ni := gp / n.radix
+		u := ni*n.radix + int(pt.connOut)
+		if c.holder[u] >= 0 {
+			return fmt.Errorf("fabric: checker: cycle %d router %d: output %d held by inputs %d and %d",
+				cycle, ni, pt.connOut, c.holder[u]-ni*n.radix, gp-ni*n.radix)
+		}
+		c.holder[u] = gp
 	}
-	for gp := range n.occ {
+	for gp := range n.ports {
 		flightVC := -1
 		if u := n.rt.up[gp]; u >= 0 && c.holder[u] >= 0 {
-			flightVC = n.nodes[u/n.radix].downVC[c.holder[u]]
+			flightVC = int(n.ports[c.holder[u]].downVC)
 		}
 		for v := 0; v < n.vcs; v++ {
-			want := uint8(0)
+			want := int32(0)
 			if v == flightVC {
 				want = 1
 			}
-			if got := n.resv[gp*n.vcs+v]; got != want {
+			if got := n.vcb[gp*n.vcs+v].resv; got != want {
 				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: reserved %d, in-flight transfers %d",
 					cycle, gp/n.radix, gp%n.radix, v, got, want)
 			}

@@ -12,6 +12,8 @@ import (
 	"github.com/reprolab/hirise/internal/prng"
 	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/stats"
+	"github.com/reprolab/hirise/internal/topo"
+	"github.com/reprolab/hirise/internal/traffic"
 )
 
 // Config parameterizes one fabric simulation. The per-router discipline
@@ -195,23 +197,36 @@ type packet struct {
 
 // route is a head packet's route computation (the RC stage of a VC
 // router): everything about its next hop that depends only on the
-// packet and the static topology. It is memoized per VC buffer, so RC
-// runs once per head packet; only the VC-allocation stage (va), which
-// tests downstream credit, runs every cycle the head waits.
+// packet and the static topology, resolved down to what the VC
+// allocation stage (va) reads every cycle the head waits. It is
+// memoized per VC buffer, so RC runs once per head packet.
+//
+// The lanes of one bundle lead to the same neighbour over the same
+// kind of link, so they share the class bump, and dclass and band hold
+// for every candidate lane.
 //
 // pushVC and popVC clear the memo on every change to its buffer, so it
 // never outlives the head it was computed for. Clearing it only when
 // the buffer empties is not enough: with VCBufPkts > 1 a pop exposes a
 // new head under the old head's route.
 type route struct {
-	port  uint16 // ejection port, or the first lane of the next-hop bundle
+	// band is the downstream class band: the VCs the packet may take at
+	// the next input (or, for ejection, any of the class's VCs; ejection
+	// ports always hold every credit).
+	band uint64
+	// out is the global id of the ejection port, of the only surviving
+	// lane, or of the first lane of the next-hop bundle.
+	out   int32
 	lanes uint16 // candidate lanes (surviving lanes under faults); 0 = no memo
 	start uint16 // rotation start among the candidates: the lane tie-break
-	class uint8  // class after the waypoint bump, before the link's bump
+	// dclass is the packet's class after the hop: the waypoint bump and
+	// the link's bump applied.
+	dclass uint8
 }
 
 // fifo is a fixed-capacity ring buffer of packets (same rationale as
-// internal/sim: one allocation for the whole run).
+// internal/sim: one allocation for the whole run). The source queues
+// use it.
 type fifo struct {
 	buf  []packet
 	head int
@@ -229,8 +244,6 @@ func (q *fifo) push(p packet) {
 	q.n++
 }
 
-func (q *fifo) peek() *packet { return &q.buf[q.head] }
-
 func (q *fifo) pop() packet {
 	p := q.buf[q.head]
 	if q.head++; q.head == len(q.buf) {
@@ -240,19 +253,35 @@ func (q *fifo) pop() packet {
 	return p
 }
 
-// router is one switch plus its per-input connection state; its VC
-// buffers live in the network-wide arrays.
-type router struct {
-	sw  sim.Switch
-	req []int // per input port: requested output this cycle
-	rr  []int // per input port: round-robin VC pointer
-	// Active connections, per input port.
-	active    []bool
-	connVC    []int
-	connOut   []int
-	downVC    []int
-	downClass []uint8
-	remaining []int
+// vcBuf is one input VC buffer: a ring of VCBufPkts packets in the
+// network's packet slab, at [slot*VCBufPkts, (slot+1)*VCBufPkts).
+type vcBuf struct {
+	head, n int32
+	resv    int32 // credits reserved by in-flight link transfers
+}
+
+// port is everything the cycle loop keeps per router port, in one
+// record indexed by global port id (node*radix + port). A port is read
+// both as an input (its VCs, round-robin pointer and connection) and as
+// an output (the credit mirror of the downstream input it feeds).
+type port struct {
+	finish int64  // cycle the active connection's last flit crosses
+	occ    uint64 // bit v set iff input VC v holds a packet
+	full   uint64 // bit v set iff input VC v holds VCBufPkts packets
+	// free mirrors, at the upstream end of a link, which downstream VCs
+	// have a credit (occupancy + reservations below VCBufPkts). It
+	// changes exactly where a downstream buffer's occupancy or
+	// reservations do. Ejection ports hold every credit for good;
+	// unwired ports hold none.
+	free      uint64
+	rr        int32 // round-robin VC pointer
+	connVC    int32 // input VC of the connection (or this cycle's request)
+	connOut   int32 // local output of the connection (or this cycle's request)
+	downVC    int32 // downstream VC the connection reserved
+	node      int32 // router of the port
+	up        int32 // global id of the upstream output feeding this input, -1 if none
+	downClass uint8
+	active    bool
 }
 
 // source is one core's injection state.
@@ -260,6 +289,7 @@ type source struct {
 	rng  prng.Source
 	q    fifo
 	next int64 // injection sequence, feeds the flow hash
+	gp   int   // global id of the core's router port
 }
 
 // network is the run state; built fresh by Run.
@@ -268,23 +298,16 @@ type network struct {
 	topo  Topology
 	conc  int
 	radix int
-	cores int
 	vcs   int
-	nodes []router
+	bufs  int // VCBufPkts
 	src   []source
 	rt    routeTables
 
+	ports []port
 	// VC buffer state, indexed by global slot (node*radix+port)*vcs+vc.
-	vcq    []fifo
-	resv   []uint8 // credits reserved by in-flight link transfers
-	routes []route // memoized route of each buffer's head; lanes 0 = none
-	// occ[node*radix+in] has bit v set iff input VC v holds a packet.
-	occ []uint64
-	// free[node*radix+out] mirrors, at the upstream end of a link, which
-	// downstream VCs have a credit (occupancy + reservations below
-	// VCBufPkts); zero on core and unwired ports. It changes exactly
-	// where a downstream buffer's occupancy or reservations do.
-	free []uint64
+	vcb    []vcBuf
+	pkts   []packet // VC rings: slot*bufs + i
+	routes []route  // memoized route of each buffer's head; lanes 0 = none
 	// bandMask[c] is class c's contiguous VC band; vcMask is all VCs.
 	bandMask []uint64
 	vcMask   uint64
@@ -292,7 +315,45 @@ type network struct {
 	// routers; nil without faults.
 	dead []bool
 
-	rel []int // pending releases, encoded node*radix+port
+	// The request phase visits only the inputs that can change what
+	// they request. words is the length of a router's input bitset.
+	//
+	// ready[node*words + in>>6] has bit in&63 set for an input that must
+	// be evaluated this cycle: every idle input with packets, except a
+	// sleeping one, which would request nothing that could be granted
+	// until something it waits on changes. An input goes to sleep when
+	//
+	//   - every head failed VC allocation: until a credit returns on one
+	//     of its candidate lanes or a packet arrives at one of its VCs,
+	//     every head fails again, because credits only ever leave its
+	//     outputs' mirrors and its heads, memos and round-robin pointer
+	//     stay as they are; or (LRG kernels only)
+	//   - exactly one head passed VC allocation, toward an output that
+	//     carries another connection: the kernel ignores that request,
+	//     and until the output releases, a credit returns or a packet
+	//     arrives, the input requests the same output from the same VC,
+	//     last in round-robin order, and is ignored again.
+	//
+	// waiters[out*words + in>>6] has bit in&63 set for each input of
+	// out's router asleep on global output out; a credit return on out
+	// and out's release wake them all.
+	words   int
+	ready   []uint64
+	waiters []uint64
+	// active has bit gp set for every input port with a connection.
+	active []uint64
+
+	// Arbitration: one generic sim.Switch per router, or, when every
+	// router is a stock LRG crossbar and no observer is attached, one
+	// crossbar.LRGKernel per router.
+	sws  []sim.Switch
+	kern []crossbar.LRGKernel
+	// req[gp] is the local output input gp requests this cycle, or -1;
+	// a router's slice is the argument of its Switch.Arbitrate.
+	req    []int
+	reqd   []int32      // this router's requesting inputs (local ids)
+	grants []topo.Grant // fused arbitration's grant buffer
+	rel    []int32      // pending releases, by global port id
 
 	hist *obs.Histogram
 	hops stats.Summary
@@ -301,6 +362,7 @@ type network struct {
 	injTotal, delivTotal, deadTotal int64 // whole run, warmup included
 	inNet                           int64 // packets buffered in VCs
 	lastActivity                    int64
+	now                             int64 // the cycle being simulated
 
 	// Observability handles (nil and free when cfg.Obs is nil).
 	rec                                     *obs.Recorder
@@ -315,75 +377,70 @@ type network struct {
 // returns an error on configuration mistakes, context cancellation,
 // invariant violations (Config.Check), and deadlock (always checked).
 func Run(cfg Config) (Result, error) {
+	stock := cfg.NewSwitch == nil
 	cfg.Defaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	n := newNetwork(cfg)
+	n := newNetwork(cfg, stock)
 	return n.run()
 }
 
-func newNetwork(cfg Config) *network {
+// newNetwork builds the run state. stock reports that the routers are
+// the default crossbars (Config.NewSwitch was nil): with no observer
+// they run on LRG kernels and no switch object is built.
+func newNetwork(cfg Config, stock bool) *network {
 	t := cfg.Topo
 	n := &network{
 		cfg:   cfg,
 		topo:  t,
 		conc:  t.Concentration(),
 		radix: t.Radix(),
-		cores: t.Nodes() * t.Concentration(),
 		vcs:   cfg.VCs,
-		nodes: make([]router, t.Nodes()),
+		bufs:  cfg.VCBufPkts,
 		src:   make([]source, t.Nodes()*t.Concentration()),
-		hist:  obs.NewHistogram(4, 4096),
+		hist:  obs.NewHistogram(4, obs.RunHistogramBins(cfg.Warmup+cfg.Measure-1)),
 	}
 	// All router-local state and the route tables come from a handful of
 	// network-wide slabs: a 72-router dragonfly otherwise pays thousands
 	// of small allocations (one per VC buffer alone) before the first
 	// cycle runs.
-	nNodes := len(n.nodes)
-	ports := nNodes * n.radix
+	nodes := t.Nodes()
+	ports := nodes * n.radix
 	slots := ports * cfg.VCs
 	classes := t.Classes(cfg.Routing)
+	n.words = (n.radix + 63) / 64
 	tInts, tU16s, tBytes := tableSizes(t, cfg.Routing)
-	n.vcq = make([]fifo, slots)
+	n.ports = make([]port, ports)
+	n.vcb = make([]vcBuf, slots)
 	n.routes = make([]route, slots)
-	pkts := make([]packet, slots*cfg.VCBufPkts+len(n.src)*cfg.SourceQueueCap)
-	for i := range n.vcq {
-		n.vcq[i].buf = carve(&pkts, cfg.VCBufPkts)
-	}
-	ints := make([]int, 7*ports+tInts)
-	bytes := make([]uint8, slots+ports+tBytes)
-	bools := make([]bool, ports)
-	words := make([]uint64, 2*ports+classes)
-	n.resv = carve(&bytes, slots)
-	n.occ = carve(&words, ports)
-	n.free = carve(&words, ports)
+	n.pkts = make([]packet, slots*cfg.VCBufPkts+len(n.src)*cfg.SourceQueueCap)
+	ints := make([]int, ports+tInts)
+	words := make([]uint64, classes+(nodes+ports)*n.words+(ports+63)/64)
 	n.bandMask = carve(&words, classes)
-	for i := range n.nodes {
-		nd := &n.nodes[i]
-		nd.sw = cfg.NewSwitch()
-		nd.downClass = carve(&bytes, n.radix)
-		nd.active = carve(&bools, n.radix)
-		nd.req = carve(&ints, n.radix)
-		nd.rr = carve(&ints, n.radix)
-		nd.connVC = carve(&ints, n.radix)
-		nd.connOut = carve(&ints, n.radix)
-		nd.downVC = carve(&ints, n.radix)
-		nd.remaining = carve(&ints, n.radix)
+	n.ready = carve(&words, nodes*n.words)
+	n.waiters = carve(&words, ports*n.words)
+	n.active = carve(&words, (ports+63)/64)
+	n.req = carve(&ints, ports)
+	n.rt = buildTables(t, cfg.Routing, ints, make([]uint16, tU16s), make([]uint8, tBytes))
+	n.reqd = make([]int32, 0, n.radix)
+	n.rel = make([]int32, 0, ports)
+	for i := range n.req {
+		n.req[i] = -1
 	}
-	n.rel = carve(&ints, ports)[:0]
-	n.rt = buildTables(t, cfg.Routing, ints, make([]uint16, tU16s), bytes)
 
 	n.vcMask = ^uint64(0) >> (64 - cfg.VCs)
 	for c := 0; c < classes; c++ {
 		lo, hi := c*cfg.VCs/classes, (c+1)*cfg.VCs/classes
 		n.bandMask[c] = ^uint64(0) >> (64 - hi) &^ (1<<lo - 1)
 	}
-	// Every downstream VC starts empty: each link output holds all its
-	// credits.
-	for u, d := range n.rt.down {
-		if d >= 0 {
-			n.free[u] = n.vcMask
+	for gp := range n.ports {
+		p := &n.ports[gp]
+		node, local := gp/n.radix, gp%n.radix
+		p.node, p.up = int32(node), int32(n.rt.up[gp])
+		// Ejection needs no credit; every downstream VC starts empty.
+		if local < n.conc || n.rt.down[gp] >= 0 {
+			p.free = n.vcMask
 		}
 	}
 	if fs := cfg.Faults; fs != nil {
@@ -395,10 +452,35 @@ func newNetwork(cfg Config) *network {
 		}
 	}
 
+	// Arbitration backend. Observers reach into the switches'
+	// arbitration events, so they keep the generic path.
+	fused := cfg.Obs == nil && stock
+	if !fused {
+		n.sws = make([]sim.Switch, nodes)
+		plain := cfg.Obs == nil
+		for i := range n.sws {
+			n.sws[i] = cfg.NewSwitch()
+			xb, ok := n.sws[i].(*crossbar.Switch)
+			plain = plain && ok && xb.PlainLRG()
+		}
+		// Caller-built stock crossbars are as good as ours: fresh, with
+		// identity-order LRG at every column.
+		fused = plain
+	}
+	if fused {
+		n.sws = nil
+		n.kern = crossbar.NewLRGKernels(nodes, n.radix)
+		n.grants = make([]topo.Grant, 0, n.radix)
+	}
+
+	pkts := n.pkts[slots*cfg.VCBufPkts:]
+	n.pkts = n.pkts[:slots*cfg.VCBufPkts]
 	root := prng.New(cfg.Seed)
 	for i := range n.src {
-		root.SplitTo(&n.src[i].rng)
-		n.src[i].q.buf = carve(&pkts, cfg.SourceQueueCap)
+		s := &n.src[i]
+		root.SplitTo(&s.rng)
+		s.q.buf = carve(&pkts, cfg.SourceQueueCap)
+		s.gp = i/n.conc*n.radix + i%n.conc
 	}
 	return n
 }
@@ -410,31 +492,68 @@ func carve[T any](slab *[]T, k int) []T {
 	return s
 }
 
-// nodeOfCore returns the router hosting a core and its local port.
-func (n *network) nodeOfCore(core int) (node, port int) {
-	return core / n.conc, core % n.conc
+// head returns the head packet of a non-empty VC slot.
+func (n *network) head(slot int) *packet {
+	return &n.pkts[slot*n.bufs+int(n.vcb[slot].head)]
 }
 
-// pushVC appends a packet to input VC v of global port gp.
-func (n *network) pushVC(gp, v int, p packet) {
-	n.vcq[gp*n.vcs+v].push(p)
-	n.routes[gp*n.vcs+v].lanes = 0
-	n.occ[gp] |= 1 << v
+// pushVC appends a packet to input VC v of global port gp and wakes
+// the input if it is idle.
+func (n *network) pushVC(gp, v int, pk packet) {
+	slot := gp*n.vcs + v
+	b := &n.vcb[slot]
+	i := int(b.head + b.n)
+	if i >= n.bufs {
+		i -= n.bufs
+	}
+	n.pkts[slot*n.bufs+i] = pk
+	b.n++
+	n.routes[slot].lanes = 0
+	p := &n.ports[gp]
+	p.occ |= 1 << v
+	if int(b.n) == n.bufs {
+		p.full |= 1 << v
+	}
+	if !p.active {
+		in := gp - int(p.node)*n.radix
+		n.ready[int(p.node)*n.words+in>>6] |= 1 << (in & 63)
+	}
 }
 
 // popVC removes the head of input VC v of global port gp. The freed
-// buffer slot is a credit for the upstream output feeding gp.
+// buffer slot is a credit for the upstream output feeding gp, which
+// wakes every input asleep on that output.
 func (n *network) popVC(gp, v int) packet {
-	q := &n.vcq[gp*n.vcs+v]
-	p := q.pop()
-	n.routes[gp*n.vcs+v].lanes = 0
-	if q.n == 0 {
-		n.occ[gp] &^= 1 << v
+	slot := gp*n.vcs + v
+	b := &n.vcb[slot]
+	pk := n.pkts[slot*n.bufs+int(b.head)]
+	if b.head++; int(b.head) == n.bufs {
+		b.head = 0
 	}
-	if u := n.rt.up[gp]; u >= 0 {
-		n.free[u] |= 1 << v
+	b.n--
+	n.routes[slot].lanes = 0
+	p := &n.ports[gp]
+	p.full &^= 1 << v
+	if b.n == 0 {
+		p.occ &^= 1 << v
 	}
-	return p
+	if u := int(p.up); u >= 0 {
+		n.ports[u].free |= 1 << v
+		n.wake(u)
+	}
+	return pk
+}
+
+// wake makes every input asleep on global output u ready.
+func (n *network) wake(u int) {
+	ready := n.ready[int(n.ports[u].node)*n.words:]
+	waiters := n.waiters[u*n.words : (u+1)*n.words]
+	for w, m := range waiters {
+		if m != 0 {
+			ready[w] |= m
+			waiters[w] = 0
+		}
+	}
 }
 
 // rc is the route-computation stage for a head packet at router ni. It
@@ -443,17 +562,21 @@ func (n *network) popVC(gp, v int) packet {
 func (n *network) rc(ni int, pkt *packet) (r route, retire bool) {
 	destNode := int(pkt.dest) / n.conc
 	if ni == destNode {
-		return route{port: uint16(int(pkt.dest) % n.conc), lanes: 1, class: pkt.class}, false
+		return route{
+			band: n.bandMask[pkt.class], out: int32(ni*n.radix + int(pkt.dest)%n.conc),
+			lanes: 1, dclass: pkt.class,
+		}, false
 	}
 	fs := n.cfg.Faults
 	if fs != nil && fs.RouterFailed(destNode) {
 		return route{}, true
 	}
-	r = route{lanes: uint16(n.rt.lanes), class: pkt.class}
+	class := pkt.class
+	var local uint16
 	if pkt.phase == 0 {
-		r.port = n.rt.viaPort[ni*n.rt.vias+int(pkt.via)]
+		local = n.rt.viaPort[ni*n.rt.vias+int(pkt.via)]
 	} else {
-		r.port = n.rt.minPort[ni*n.rt.nodes+destNode]
+		local = n.rt.minPort[ni*n.rt.nodes+destNode]
 		if pkt.via >= 0 && n.rt.viaOf[ni] == int(pkt.via) {
 			// Dateline: the class bump happens on departure FROM the
 			// waypoint, not on the hop into it, so each grid class band
@@ -463,25 +586,31 @@ func (n *network) rc(ni int, pkt *packet) (r route, retire bool) {
 			// mix the tail of phase 0 into the class-1 band and admit
 			// Y->X dependencies there — a real deadlock, caught by
 			// TestSaturationTerminates when tried.
-			r.class += uint8(n.topo.ViaBump())
+			class += uint8(n.topo.ViaBump())
 		}
 	}
+	base := ni*n.radix + int(local)
+	r = route{out: int32(base), lanes: uint16(n.rt.lanes)}
 	if n.dead != nil {
 		// Reroute around failures: only the surviving lanes of the
 		// bundle are candidates. The fail-set's per-bundle budget
 		// guarantees link faults alone never empty a candidate set;
 		// router faults can, and then the flow is dead.
 		r.lanes = 0
-		base := ni*n.radix + int(r.port)
 		for _, dead := range n.dead[base : base+n.rt.lanes] {
 			if !dead {
 				r.lanes++
 			}
 		}
-		if r.lanes == 0 {
+		switch r.lanes {
+		case 0:
 			return route{}, true
+		case 1:
+			r.out = int32(n.liveLane(base, 0))
 		}
 	}
+	r.dclass = class + n.rt.bump[base]
+	r.band = n.bandMask[r.dclass]
 	// Seed-derived lane tie-break (the flow hash is derived from the run
 	// seed at injection): va tries the lanes in rotation from here, so
 	// backpressure on one lane spills to its siblings.
@@ -489,31 +618,47 @@ func (n *network) rc(ni int, pkt *packet) (r route, retire bool) {
 	return r, false
 }
 
-// va is the VC-allocation stage for a routed head at the router whose
-// ports start at global id pid: the first candidate lane, in rotation
-// from the route's start, whose downstream class band has a credit,
-// and the lowest such VC. ok is false when every lane lacks credit this
-// cycle (the packet holds). Ejection needs no credit.
-func (n *network) va(pid int, r route) (out, downVC int, downClass uint8, ok bool) {
-	if int(r.port) < n.conc {
-		return int(r.port), -1, r.class, true
+// lane returns the global id of the j-th candidate lane of a
+// multi-lane route.
+func (n *network) lane(r *route, j int) int {
+	if n.dead != nil {
+		return n.liveLane(int(r.out), j)
 	}
-	base := pid + int(r.port)
+	return int(r.out) + j
+}
+
+// va is the VC-allocation stage for a routed head: the first candidate
+// lane, in rotation from the route's start, whose downstream band has
+// a credit, and its free VCs in that band. free is 0 when every lane
+// lacks credit this cycle (the packet holds). The single-lane case is
+// one AND; ejection is a single lane that always has credit.
+func (n *network) va(r *route) (out int, free uint64) {
+	if r.lanes == 1 {
+		return int(r.out), n.ports[r.out].free & r.band
+	}
 	j := int(r.start)
 	for k := 0; k < int(r.lanes); k++ {
-		o := base + j
-		if n.dead != nil {
-			o = n.liveLane(base, j)
-		}
-		ca := r.class + n.rt.bump[o]
-		if f := n.free[o] & n.bandMask[ca]; f != 0 {
-			return o - pid, bits.TrailingZeros64(f), ca, true
+		o := n.lane(r, j)
+		if f := n.ports[o].free & r.band; f != 0 {
+			return o, f
 		}
 		if j++; j == int(r.lanes) {
 			j = 0
 		}
 	}
-	return 0, 0, 0, false
+	return 0, 0
+}
+
+// sleep registers local input in as a waiter on every candidate lane
+// of a head.
+func (n *network) sleep(r *route, in int) {
+	if r.lanes == 1 {
+		n.waiters[int(r.out)*n.words+in>>6] |= 1 << (in & 63)
+		return
+	}
+	for j := 0; j < int(r.lanes); j++ {
+		n.waiters[n.lane(r, j)*n.words+in>>6] |= 1 << (in & 63)
+	}
 }
 
 // liveLane returns the global id of the j-th surviving lane of the
@@ -526,6 +671,91 @@ func (n *network) liveLane(base, j int) int {
 		}
 	}
 	return o
+}
+
+// request runs the RC and VA stages for the idle input gp (local id
+// in) of router ni: the candidate VC is picked round-robin among the
+// occupied VCs whose head has a credited next hop, and statically
+// unroutable heads are retired as dead flows. It reports whether the
+// input requested an output. An input that goes to sleep instead (see
+// network.ready) is registered on every candidate lane of every head.
+func (n *network) request(ni, in, gp int) (requested bool) {
+	p := &n.ports[gp]
+	retired := false
+	// Rotate the occupied VCs so bit k is VC (rr+k) mod vcs: the
+	// round-robin scan order.
+	rr, occ := int(p.rr), p.occ
+	for pend := (occ>>rr | occ<<(n.vcs-rr)) & n.vcMask; pend != 0; pend &= pend - 1 {
+		v := rr + bits.TrailingZeros64(pend)
+		if v >= n.vcs {
+			v -= n.vcs
+		}
+		slot := gp*n.vcs + v
+		r := &n.routes[slot]
+		if r.lanes == 0 {
+			rt, retire := n.rc(ni, n.head(slot))
+			if retire {
+				dead := n.popVC(gp, v)
+				n.inNet--
+				n.deadTotal++
+				n.lastActivity = n.now
+				n.mDead.Inc()
+				n.rec.Record(n.now, obs.EvDeadFlow, gp, int(dead.dest), int(n.now-dead.birth))
+				retired = true
+				continue
+			}
+			*r = rt
+		}
+		o, free := n.va(r)
+		if free == 0 {
+			n.sleep(r, in)
+			continue
+		}
+		if p.rr = int32(v + 1); p.rr == int32(n.vcs) {
+			p.rr = 0
+		}
+		local := o - ni*n.radix
+		p.connVC, p.connOut = int32(v), int32(local)
+		p.downVC, p.downClass = int32(bits.TrailingZeros64(free)), r.dclass
+		if n.kern != nil && !retired && n.kern[ni].Busy(local) && n.restFail(gp, in, v, pend&(pend-1), rr) {
+			n.sleep(r, in)
+			n.ready[ni*n.words+in>>6] &^= 1 << (in & 63)
+			return false
+		}
+		n.req[gp] = local
+		n.reqd = append(n.reqd, int32(in))
+		if n.kern != nil {
+			n.kern[ni].Request(in, local)
+		}
+		return true
+	}
+	if !retired || p.occ == 0 {
+		n.ready[ni*n.words+in>>6] &^= 1 << (in & 63)
+	}
+	return false
+}
+
+// restFail reports whether every head in the rest of the round-robin
+// scan (pend, rotated by rr) is routed and fails VC allocation, putting
+// the input to sleep on each. Heads are not routed here: a head without
+// a memo may retire, and it must do so on the cycle the reference order
+// reaches it.
+func (n *network) restFail(gp, in, v int, pend uint64, rr int) bool {
+	for ; pend != 0; pend &= pend - 1 {
+		w := rr + bits.TrailingZeros64(pend)
+		if w >= n.vcs {
+			w -= n.vcs
+		}
+		r := &n.routes[gp*n.vcs+w]
+		if r.lanes == 0 {
+			return false
+		}
+		if _, free := n.va(r); free != 0 {
+			return false
+		}
+		n.sleep(r, in)
+	}
+	return true
 }
 
 func (n *network) run() (Result, error) {
@@ -545,10 +775,10 @@ func (n *network) run() (Result, error) {
 	n.mWins = cfg.Obs.TrackedCounter(samp, "fabric.arb.wins")
 	n.mLosses = cfg.Obs.TrackedCounter(samp, "fabric.arb.losses")
 	n.mDead = cfg.Obs.TrackedCounter(samp, "fabric.packets.dead")
-	n.mLatency = cfg.Obs.Histogram("fabric.latency.cycles", 4, 4096)
+	n.mLatency = cfg.Obs.Histogram("fabric.latency.cycles", 4, obs.MaxLatencyBins)
 	cfg.Obs.Gauge("fabric.offered.load").Set(cfg.Load)
 	if metricsOn {
-		n.linkBusy = make([]*obs.Counter, len(n.nodes)*n.radix)
+		n.linkBusy = make([]*obs.Counter, len(n.ports))
 	}
 	if samp != nil {
 		samp.GaugeFunc("fabric.queue.occupancy", func() float64 {
@@ -559,13 +789,10 @@ func (n *network) run() (Result, error) {
 			return float64(occ)
 		})
 		samp.GaugeFunc("fabric.flits.inflight", func() float64 {
-			var fl int
-			for i := range n.nodes {
-				nd := &n.nodes[i]
-				for p := range nd.active {
-					if nd.active[p] {
-						fl += nd.remaining[p]
-					}
+			var fl int64
+			for gp := range n.ports {
+				if n.ports[gp].active {
+					fl += n.ports[gp].finish - n.now
 				}
 			}
 			return float64(fl)
@@ -577,6 +804,14 @@ func (n *network) run() (Result, error) {
 		chk = newChecker(n)
 	}
 
+	// Devirtualize uniform traffic: one compiled draw (exactly
+	// Uniform.Next's values and PRNG stream) per core per cycle.
+	uni, uniOK := cfg.Traffic.(traffic.Uniform)
+	uniDraw := traffic.NewUniformDraw(uni, cfg.Load)
+	fs := cfg.Faults
+	F := int64(cfg.PacketFlits)
+	nodes := len(n.ports) / n.radix
+
 	var injected, delivered, dropped, flits int64
 	total := cfg.Warmup + cfg.Measure
 	for cycle := int64(0); cycle < total; cycle++ {
@@ -584,31 +819,36 @@ func (n *network) run() (Result, error) {
 			return Result{}, fmt.Errorf("fabric: run cancelled at cycle %d: %w", cycle, cfg.Ctx.Err())
 		}
 		measuring := cycle >= cfg.Warmup
+		n.now = cycle
 
 		// 1. Advance active transmissions; completions deliver locally
 		// or arrive on the linked neighbour input, consuming the credit
 		// reserved at grant time. Resources release only after this
-		// cycle's arbitration, matching the priority-bus reuse.
+		// cycle's arbitration, matching the priority-bus reuse. The
+		// active set is walked in ascending port order, the order of
+		// the per-router, per-input reference loop.
 		n.rel = n.rel[:0]
-		for ni := range n.nodes {
-			nd := &n.nodes[ni]
-			pid := ni * n.radix
-			for in := range nd.active {
-				if !nd.active[in] {
+		for w, word := range n.active {
+			for ; word != 0; word &= word - 1 {
+				gp := w<<6 | bits.TrailingZeros64(word)
+				p := &n.ports[gp]
+				if p.finish != cycle {
 					continue
 				}
-				nd.remaining[in]--
-				if nd.remaining[in] > 0 {
-					continue
-				}
-				nd.active[in] = false
-				n.rel = append(n.rel, pid+in)
-				pkt := n.popVC(pid+in, nd.connVC[in])
+				p.active = false
+				n.active[w] &^= 1 << (gp & 63)
+				n.rel = append(n.rel, int32(gp))
+				pkt := n.popVC(gp, int(p.connVC))
 				n.inNet--
 				pkt.hops++
-				out := nd.connOut[in]
+				ni := int(p.node)
+				if p.occ != 0 {
+					in := gp - ni*n.radix
+					n.ready[ni*n.words+in>>6] |= 1 << (in & 63)
+				}
+				out := int(p.connOut)
 				if metricsOn && out >= n.conc {
-					n.linkBusyCounter(ni, out).Add(int64(cfg.PacketFlits) + 1)
+					n.linkBusyCounter(ni, out).Add(F + 1)
 				}
 				if out < n.conc {
 					lat := cycle - pkt.birth
@@ -616,135 +856,144 @@ func (n *network) run() (Result, error) {
 						n.hist.Observe(float64(lat))
 						n.hops.Add(float64(pkt.hops))
 						delivered++
-						flits += int64(cfg.PacketFlits)
+						flits += F
 					}
 					n.delivTotal++
 					n.lastActivity = cycle
-					n.mDelivered.Inc()
-					n.mFlits.Add(int64(cfg.PacketFlits))
-					n.mLatency.Observe(float64(lat))
-					if metricsOn {
-						n.hopHistFor(int(pkt.hops)).Observe(float64(lat))
+					if obsOn {
+						n.mDelivered.Inc()
+						n.mFlits.Add(F)
+						n.mLatency.Observe(float64(lat))
+						if metricsOn {
+							n.hopHistFor(int(pkt.hops)).Observe(float64(lat))
+						}
+						n.rec.Record(cycle, obs.EvEject, int(pkt.dest), int(pkt.dest), int(lat))
 					}
-					n.rec.Record(cycle, obs.EvEject, int(pkt.dest), int(pkt.dest), int(lat))
 					continue
 				}
-				dp := n.rt.down[pid+out]
-				pkt.class = nd.downClass[in]
-				if pkt.phase == 0 && n.rt.viaOf[dp/n.radix] == int(pkt.via) {
+				dp := n.rt.down[ni*n.radix+out]
+				pkt.class = p.downClass
+				if pkt.phase == 0 && n.rt.viaOf[n.ports[dp].node] == int(pkt.via) {
 					pkt.phase = 1
 				}
-				n.pushVC(dp, nd.downVC[in], pkt)
-				n.resv[dp*n.vcs+nd.downVC[in]]--
+				n.pushVC(dp, int(p.downVC), pkt)
+				n.vcb[dp*n.vcs+int(p.downVC)].resv--
 				n.inNet++
 			}
 		}
 
-		// 2. Build requests from unconnected inputs with waiting
-		// packets, selecting the candidate VC round-robin; statically
-		// unroutable heads are retired as dead flows.
-		for ni := range n.nodes {
-			if cfg.Faults != nil && cfg.Faults.RouterFailed(ni) {
+		// 2. Build requests from the ready inputs (see network.ready),
+		// in ascending input order per router.
+		for ni := 0; ni < nodes; ni++ {
+			ready := n.ready[ni*n.words : (ni+1)*n.words]
+			if n.kern != nil && n.words == 1 && ready[0] == 0 {
+				continue // no request, so no grant: nothing to arbitrate
+			}
+			if fs != nil && fs.RouterFailed(ni) {
 				continue // fail-stop: the router arbitrates nothing
 			}
-			nd := &n.nodes[ni]
 			pid := ni * n.radix
-			for in := range nd.req {
-				nd.req[in] = -1
-				gp := pid + in
-				if nd.active[in] || n.occ[gp] == 0 {
-					continue
-				}
-				// Rotate the occupied VCs so bit k is VC (rr+k) mod vcs:
-				// the round-robin scan order.
-				rr, occ := nd.rr[in], n.occ[gp]
-				for pend := (occ>>rr | occ<<(n.vcs-rr)) & n.vcMask; pend != 0; pend &= pend - 1 {
-					v := rr + bits.TrailingZeros64(pend)
-					if v >= n.vcs {
-						v -= n.vcs
-					}
-					slot := gp*n.vcs + v
-					if n.routes[slot].lanes == 0 {
-						r, retire := n.rc(ni, n.vcq[slot].peek())
-						if retire {
-							dead := n.popVC(gp, v)
-							n.inNet--
-							n.deadTotal++
-							n.lastActivity = cycle
-							n.mDead.Inc()
-							n.rec.Record(cycle, obs.EvDeadFlow, gp, int(dead.dest), int(cycle-dead.birth))
-							continue
-						}
-						n.routes[slot] = r
-					}
-					out, dvc, dclass, ok := n.va(pid, n.routes[slot])
-					if !ok {
+			n.reqd = n.reqd[:0]
+			for w, word := range ready {
+				for ; word != 0; word &= word - 1 {
+					in := w<<6 | bits.TrailingZeros64(word)
+					gp := pid + in
+					if n.ports[gp].active || n.ports[gp].occ == 0 {
+						// Woken by a credit after it connected, or woken
+						// with nothing left to send.
+						ready[w] &^= 1 << (in & 63)
 						continue
 					}
-					if nd.rr[in] = v + 1; nd.rr[in] == n.vcs {
-						nd.rr[in] = 0
-					}
-					nd.req[in] = out
-					nd.connVC[in] = v
-					nd.connOut[in] = out
-					nd.downVC[in] = dvc
-					nd.downClass[in] = dclass
-					break
+					n.request(ni, in, gp)
 				}
 			}
 
 			// 3. Arbitrate and start new connections; link grants
 			// reserve the downstream credit for the whole flight.
-			for _, g := range nd.sw.Arbitrate(nd.req) {
+			var grants []topo.Grant
+			if n.kern != nil {
+				if len(n.reqd) == 0 {
+					continue
+				}
+				n.grants = n.kern[ni].Arbitrate(n.grants[:0])
+				grants = n.grants
+			} else {
+				grants = n.sws[ni].Arbitrate(n.req[pid : pid+n.radix])
+			}
+			for _, g := range grants {
 				if chk != nil {
 					if err := chk.checkGrant(cycle, ni, g.In, g.Out); err != nil {
 						return Result{}, err
 					}
 				}
-				nd.active[g.In] = true
-				nd.remaining[g.In] = cfg.PacketFlits
+				gp := pid + g.In
+				p := &n.ports[gp]
+				p.active = true
+				p.finish = cycle + F
+				n.active[gp>>6] |= 1 << (gp & 63)
+				n.ready[ni*n.words+g.In>>6] &^= 1 << (g.In & 63)
 				if g.Out >= n.conc {
 					// The reserved credit may have been the downstream
 					// VC's last: mirror that at this output.
-					u, dvc := pid+g.Out, nd.downVC[g.In]
+					u, dvc := pid+g.Out, int(p.downVC)
 					slot := n.rt.down[u]*n.vcs + dvc
-					if n.resv[slot]++; n.vcq[slot].n+int(n.resv[slot]) >= cfg.VCBufPkts {
-						n.free[u] &^= 1 << dvc
+					b := &n.vcb[slot]
+					if b.resv++; int(b.n+b.resv) >= n.bufs {
+						n.ports[u].free &^= 1 << dvc
 					}
 				}
 				n.lastActivity = cycle
-				n.mWins.Inc()
-				n.rec.Record(cycle, obs.EvArbWin, ni*n.radix+g.In, ni*n.radix+g.Out, cfg.PacketFlits)
-			}
-			if obsOn {
-				for in := range nd.req {
-					if nd.req[in] >= 0 && !nd.active[in] {
-						n.mLosses.Inc()
-						n.rec.Record(cycle, obs.EvArbLose, ni*n.radix+in, ni*n.radix+nd.req[in], 0)
-					}
+				if obsOn {
+					n.mWins.Inc()
+					n.rec.Record(cycle, obs.EvArbWin, gp, pid+g.Out, cfg.PacketFlits)
 				}
+			}
+			for _, in := range n.reqd {
+				gp := pid + int(in)
+				if obsOn && !n.ports[gp].active {
+					n.mLosses.Inc()
+					n.rec.Record(cycle, obs.EvArbLose, gp, pid+n.req[gp], 0)
+				}
+				n.req[gp] = -1
 			}
 		}
 
 		// 4. Release the connections that finished this cycle.
-		for _, id := range n.rel {
-			n.nodes[id/n.radix].sw.Release(id % n.radix)
+		for _, gp := range n.rel {
+			ni := int(n.ports[gp].node)
+			in := int(gp) - ni*n.radix
+			if n.kern != nil {
+				// The input may already have requested anew this cycle,
+				// so the kernel names the output that frees.
+				n.wake(ni*n.radix + n.kern[ni].Release(in))
+			} else {
+				n.sws[ni].Release(in)
+			}
 		}
 
 		// 5. Inject new packets and refill the class-0 VC band from the
 		// source queues.
 		for core := range n.src {
-			if cfg.Faults != nil && cfg.Faults.RouterFailed(core/n.conc) {
+			if fs != nil && fs.RouterFailed(core/n.conc) {
 				continue // cores behind a failed router cannot inject
 			}
 			s := &n.src[core]
-			if dest, okInj := cfg.Traffic.Next(core, cycle, cfg.Load, &s.rng); okInj {
+			var dest int
+			var okInj bool
+			if uniOK {
+				dest, okInj = uniDraw.Next(&s.rng)
+			} else {
+				dest, okInj = cfg.Traffic.Next(core, cycle, cfg.Load, &s.rng)
+			}
+			if okInj {
 				if s.q.full() {
 					if measuring {
 						dropped++
 					}
-					n.mDropped.Inc()
-					n.rec.Record(cycle, obs.EvDrop, core, dest, 0)
+					if obsOn {
+						n.mDropped.Inc()
+						n.rec.Record(cycle, obs.EvDrop, core, dest, 0)
+					}
 				} else {
 					pkt := packet{
 						birth: cycle,
@@ -754,8 +1003,7 @@ func (n *network) run() (Result, error) {
 						flow:  uint32(pool.SeedFor(cfg.Seed, uint64(core), uint64(s.next))),
 					}
 					if cfg.Routing == Valiant {
-						srcNode, _ := n.nodeOfCore(core)
-						if via := n.topo.ValiantVia(srcNode, dest/n.conc, &s.rng); via >= 0 {
+						if via := n.topo.ValiantVia(core/n.conc, dest/n.conc, &s.rng); via >= 0 {
 							pkt.via = int32(via)
 							pkt.phase = 0
 						}
@@ -766,21 +1014,19 @@ func (n *network) run() (Result, error) {
 					if measuring {
 						injected++
 					}
-					n.mInjected.Inc()
-					n.rec.Record(cycle, obs.EvInject, core, dest, 0)
+					if obsOn {
+						n.mInjected.Inc()
+						n.rec.Record(cycle, obs.EvInject, core, dest, 0)
+					}
 				}
 			}
-			if s.q.n > 0 {
-				ni, port := n.nodeOfCore(core)
-				gp := ni*n.radix + port
-				for band := n.bandMask[0]; band != 0 && s.q.n > 0; band &= band - 1 {
-					v := bits.TrailingZeros64(band)
-					if n.vcq[gp*n.vcs+v].full() {
-						continue
-					}
-					p := s.q.pop()
-					n.pushVC(gp, v, p)
-					n.inNet++
+			// Ascending non-full VCs of the band, one packet each.
+			for band := n.bandMask[0] &^ n.ports[s.gp].full; band != 0 && s.q.n > 0; band &= band - 1 {
+				v := bits.TrailingZeros64(band)
+				p := s.q.pop()
+				n.pushVC(s.gp, v, p)
+				n.inNet++
+				if obsOn {
 					n.rec.Record(cycle, obs.EvVCAlloc, core, int(p.dest), v)
 				}
 			}
@@ -829,7 +1075,7 @@ func (n *network) hopHistFor(hops int) *obs.Histogram {
 		n.hopHist = append(n.hopHist, nil)
 	}
 	if n.hopHist[hops] == nil {
-		n.hopHist[hops] = n.cfg.Obs.Histogram(fmt.Sprintf("fabric.latency.hops=%02d", hops), 4, 4096)
+		n.hopHist[hops] = n.cfg.Obs.Histogram(fmt.Sprintf("fabric.latency.hops=%02d", hops), 4, obs.MaxLatencyBins)
 	}
 	return n.hopHist[hops]
 }

@@ -201,7 +201,7 @@ func TestFlowHashSpreadsSameDestAcrossLanes(t *testing.T) {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	n := newNetwork(cfg)
+	n := newNetwork(cfg, true)
 	starts := map[uint16]bool{}
 	for i := 0; i < 64; i++ {
 		pkt := packet{

@@ -100,7 +100,7 @@ func checkTables(t *testing.T, topo Topology, r Routing) {
 
 // TestCheckerCatchesFastPathDrift corrupts each piece of cycle-loop
 // state the checker mirrors (credit bits, occupancy bits, route memos,
-// reservations) and requires a scan to name it.
+// reservations, the sleeping-input set) and requires a scan to name it.
 func TestCheckerCatchesFastPathDrift(t *testing.T) {
 	topo := Mesh{W: 3, H: 3, Conc: 2, Lanes: 2}
 	cfg := baseConfig(topo)
@@ -112,31 +112,50 @@ func TestCheckerCatchesFastPathDrift(t *testing.T) {
 	// Router 4 is the mesh centre; its first east lane links to router 5.
 	east := 4*topo.Radix() + topo.Conc
 	pkt := packet{dest: int32(8 * topo.Conc), via: -1, phase: 1}
+	// routed pushes pkt into VC 0 of router 4's first core port and
+	// memoizes its route, as the request phase would.
+	routed := func(n *network) (gp, slot int) {
+		gp = 4 * n.radix
+		slot = gp * n.vcs
+		n.pushVC(gp, 0, pkt)
+		n.routes[slot], _ = n.rc(4, n.head(slot))
+		return gp, slot
+	}
 	cases := []struct {
 		name, want string
 		corrupt    func(n *network)
 	}{
 		{"clean", "", func(n *network) {}},
-		{"credit bit", "credit mirror", func(n *network) { n.free[east] &^= 1 }},
-		{"occupancy bit", "occupancy bits", func(n *network) { n.occ[east] |= 1 }},
+		{"credit bit", "credit mirror", func(n *network) { n.ports[east].free &^= 1 }},
+		{"occupancy bit", "occupancy bits", func(n *network) { n.ports[east].occ |= 1 }},
 		{"stale memo", "route memo on an empty buffer", func(n *network) {
-			n.routes[east*n.vcs] = route{port: 3, lanes: 1}
+			n.routes[east*n.vcs] = route{out: 3, lanes: 1}
 		}},
 		{"wrong memo", "memoized route", func(n *network) {
-			slot := 4 * n.radix * n.vcs
-			n.pushVC(4*n.radix, 0, pkt)
-			n.routes[slot], _ = n.rc(4, n.vcq[slot].peek())
+			_, slot := routed(n)
 			n.routes[slot].start ^= 1
 		}},
 		{"phantom reservation", "in-flight transfers", func(n *network) {
 			d := n.rt.down[east]
-			n.resv[d*n.vcs]++
-			n.free[east] = n.vcMask // keep the mirror honest: 0+1 < 2
+			n.vcb[d*n.vcs].resv++
+			n.ports[east].free = n.vcMask // keep the mirror honest: 0+1 < 2
+		}},
+		{"sleeping with a credit", "skipped input could request", func(n *network) {
+			gp, slot := routed(n)
+			n.ready[4*n.words] &^= 1 << (gp - 4*n.radix)
+			n.sleep(&n.routes[slot], gp-4*n.radix)
+		}},
+		{"sleeping unregistered", "skipped input not waiting", func(n *network) {
+			gp, slot := routed(n)
+			n.ready[4*n.words] &^= 1 << (gp - 4*n.radix)
+			for j := 0; j < int(n.routes[slot].lanes); j++ {
+				n.ports[n.lane(&n.routes[slot], j)].free = 0
+			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n := newNetwork(cfg)
+			n := newNetwork(cfg, true)
 			tc.corrupt(n)
 			err := newChecker(n).scan(0)
 			switch {

@@ -78,6 +78,25 @@ func NewHistogram(binWidth float64, bins int) *Histogram {
 	return &Histogram{binWidth: binWidth, bins: make([]int64, bins)}
 }
 
+// MaxLatencyBins is the bin count of every latency histogram a
+// registry exposes (sim.latency.cycles, fabric.latency.cycles): 4096
+// 4-cycle bins, so ages from 16384 cycles on land in the overflow
+// bucket.
+const MaxLatencyBins = 4096
+
+// RunHistogramBins is the bin count of the private 4-cycle-bin latency
+// histogram of one cycle loop run: just enough bins for every age the
+// run can observe (0..maxAge, maxAge = Warmup+Measure-1), and never more
+// than MaxLatencyBins. No observed age falls past the last bin a
+// MaxLatencyBins histogram would have used, so Mean and Quantile equal
+// the full-size histogram's exactly, while a short run allocates a few
+// hundred bytes of bins instead of 32 KiB. Callers pass it to
+// NewHistogram, which inlines, so the run's histogram header stays on
+// its stack.
+func RunHistogramBins(maxAge int64) int {
+	return int(min(maxAge/4+1, MaxLatencyBins))
+}
+
 // badShape is kept out of line so that NewHistogram inlines: a cycle
 // loop's result histogram then does not escape, and its header stays on
 // the run's stack instead of costing an allocation per run.

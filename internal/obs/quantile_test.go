@@ -186,3 +186,40 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		t.Errorf("NaN q should clamp to 0: %v vs %v", q, lo)
 	}
 }
+
+// TestRunHistogramMatchesFullSize pins RunHistogramBins' contract: for
+// runs just below, at and above the 16384-cycle reach of a 4096-bin
+// histogram, observing every age a run can produce (0..Warmup+Measure-1,
+// some many times, plus the oldest) gives the same count, mean, min,
+// max and quantiles as the full-size histogram, and no more than
+// MaxLatencyBins bins.
+func TestRunHistogramMatchesFullSize(t *testing.T) {
+	for _, total := range []int64{1, 2, 5, 180, 16383, 16384, 16385, 16389, 40000} {
+		maxAge := total - 1
+		run, full := NewHistogram(4, RunHistogramBins(maxAge)), NewHistogram(4, MaxLatencyBins)
+		if len(run.bins) > MaxLatencyBins {
+			t.Fatalf("total %d: %d bins, more than %d", total, len(run.bins), MaxLatencyBins)
+		}
+		if want := int(maxAge/4) + 1; want < MaxLatencyBins && len(run.bins) != want {
+			t.Fatalf("total %d: %d bins, want %d", total, len(run.bins), want)
+		}
+		for age := int64(0); age <= maxAge; age++ {
+			for k := int64(0); k <= age%3; k++ {
+				run.Observe(float64(age))
+				full.Observe(float64(age))
+			}
+		}
+		run.Observe(float64(maxAge))
+		full.Observe(float64(maxAge))
+		if run.Count() != full.Count() || run.Mean() != full.Mean() ||
+			run.min != full.min || run.max != full.max || run.overflow != full.overflow {
+			t.Fatalf("total %d: run %+v, full-size count %d mean %v overflow %d",
+				total, run, full.Count(), full.Mean(), full.overflow)
+		}
+		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+			if a, b := run.Quantile(q), full.Quantile(q); a != b {
+				t.Fatalf("total %d: Quantile(%v) = %v, full-size %v", total, q, a, b)
+			}
+		}
+	}
+}

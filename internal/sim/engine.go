@@ -39,13 +39,9 @@
 //     (crossbar.Switch.PlainLRG) and the run attaches neither Obs nor
 //     Faults — the two hooks that reach into the switch's own arbiters
 //     and resources — the engine leaves the switch object untouched and
-//     arbitrates in place over column bitsets. LRG priority is kept as
-//     a (last-grant stamp, initial index) key per input instead of an
-//     order list: the minimum key over a column's requestors is exactly
-//     the list-LRG winner (all stamps start equal, and an update gives
-//     the winner a stamp strictly greater than every other, i.e. moves
-//     it to the end of the order without disturbing the rest), and the
-//     O(n) list splice on every grant becomes an O(1) stamp write.
+//     arbitrates in place on a crossbar.LRGKernel: column request
+//     bitsets and a min-(stamp, index) scan per requested column. The
+//     fabric runs its plain-crossbar routers on the same kernel.
 //
 // The test-only reference oracle refRun (ref_test.go) is the plain
 // phase loop with one struct per port; the differential tests in
@@ -54,16 +50,15 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
-	"github.com/reprolab/hirise/internal/bitvec"
 	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/fault"
 	"github.com/reprolab/hirise/internal/obs"
 	"github.com/reprolab/hirise/internal/prng"
 	"github.com/reprolab/hirise/internal/stats"
 	"github.com/reprolab/hirise/internal/tele"
+	"github.com/reprolab/hirise/internal/topo"
 	"github.com/reprolab/hirise/internal/traffic"
 )
 
@@ -147,7 +142,7 @@ func Run(cfg Config) (Result, error) {
 	mFlits := cfg.Obs.TrackedCounter(samp, "sim.flits.delivered")
 	mWins := cfg.Obs.TrackedCounter(samp, "sim.arb.wins")
 	mLosses := cfg.Obs.TrackedCounter(samp, "sim.arb.losses")
-	mLatency := cfg.Obs.Histogram("sim.latency.cycles", 4, 4096)
+	mLatency := cfg.Obs.Histogram("sim.latency.cycles", 4, obs.MaxLatencyBins)
 	cfg.Obs.Gauge("sim.offered.load").Set(cfg.Load)
 	// obsOn gates the per-event hooks, so a hook-free run tests one
 	// flag per event instead of one nil check per handle.
@@ -199,15 +194,15 @@ func Run(cfg Config) (Result, error) {
 	}
 	var fstats FaultStats
 
+	total := cfg.Warmup + cfg.Measure
 	vcsN := cfg.VCs
 	qcap := cfg.SourceQueueCap
-	words := bitvec.WordsFor(n)
 	ports := make([]bport, n)
 	vcSlab := make([]bpacket, n*vcsN) // VC slots: [in*vcs + v]
 	qSlab := make([]bpacket, n*qcap)  // source-queue rings: [in*qcap + i]
 	req := make([]int, n)             // requested output per input, or -1 (Switch.Arbitrate's argument)
 	relIn := make([]int32, n)         // inputs whose connection finished this cycle
-	hist := obs.NewHistogram(4, 4096)
+	hist := obs.NewHistogram(4, obs.RunHistogramBins(total-1))
 	perLat := stats.NewPerPort(n)
 	perPkt := make([]int64, n)
 	var deadBuf []deadFlow // phase 2's deferred dead-flow trace events
@@ -220,24 +215,13 @@ func Run(cfg Config) (Result, error) {
 		root.SplitTo(&ports[in].rng)
 	}
 
-	// Fused-crossbar state: one stock LRG crossbar without the
-	// crossbar.Switch object. Column request bitsets are zeroed as
-	// arbitration consumes them.
-	var (
-		xheld  []int32  // [in]: output held by input, or -1
-		xoutIn []int32  // [out]: input holding output, or -1
-		xstamp []int64  // [out*n + in]: last-grant stamp
-		xclock []int64  // [out]: per-column stamp clock
-		xmask  []uint64 // [out*words + w]: column request bitsets
-		xdirty []uint64 // columns with requests this cycle
-	)
+	// Fused crossbar: the stock LRG crossbar arbitrated in place, with
+	// the switch object left untouched.
+	var xk *crossbar.LRGKernel
+	var xgrants []topo.Grant
 	if fast {
-		xheld, xoutIn = make([]int32, n), make([]int32, n)
-		xstamp, xclock = make([]int64, n*n), make([]int64, n)
-		xmask, xdirty = make([]uint64, n*words), make([]uint64, words)
-		for i := range xheld {
-			xheld[i], xoutIn[i] = -1, -1
-		}
+		xk = &crossbar.NewLRGKernels(1, n)[0]
+		xgrants = make([]topo.Grant, 0, n)
 	}
 
 	if samp != nil {
@@ -260,32 +244,12 @@ func Run(cfg Config) (Result, error) {
 		})
 	}
 
-	// Devirtualize uniform traffic: inline traffic.Uniform's two PRNG
-	// draws instead of calling through the interface n times per cycle.
-	// The Bernoulli acceptance becomes an integer compare on the raw
-	// 53-bit draw: Float64() < p  ⇔  (Uint64()>>11)·2⁻⁵³ < p  ⇔
-	// Uint64()>>11 < ⌈p·2⁵³⌉ — every step exact (2⁻⁵³ scaling and p·2⁵³
-	// are pure exponent shifts), so acceptance is bit-identical.
+	// Devirtualize uniform traffic: one compiled draw (exactly
+	// Uniform.Next's values and PRNG stream) instead of an interface call
+	// per port per cycle.
 	tr := cfg.Traffic
 	uni, uniOK := tr.(traffic.Uniform)
-	var uniThresh uint64
-	uniAlways, uniNever := false, false
-	if uniOK {
-		switch {
-		case cfg.Load <= 0:
-			uniNever = true // Bernoulli shortcut: no draw at all
-		case cfg.Load >= 1:
-			uniAlways = true // ditto
-		default:
-			uniThresh = uint64(math.Ceil(cfg.Load * (1 << 53)))
-		}
-	}
-	// Power-of-two radix collapses the destination draw to a shift:
-	// Lemire's Intn(2^b) computes hi = x·2^b / 2^64 = x >> (64-b) and its
-	// rejection threshold 2^64 mod 2^b is zero, so the loop never runs —
-	// one draw, exactly Intn's stream and value.
-	uniPow2 := uniOK && uni.Radix > 0 && uni.Radix&(uni.Radix-1) == 0
-	uniShift := uint(64 - bits.Len(uint(uni.Radix)-1))
+	uniDraw := traffic.NewUniformDraw(uni, cfg.Load)
 
 	F := int32(cfg.PacketFlits)
 	F64 := int64(cfg.PacketFlits)
@@ -293,7 +257,6 @@ func Run(cfg Config) (Result, error) {
 	vcMask := uint64(1)<<uint(vcs) - 1 // all ones at 64 VCs
 	qc := int32(qcap)
 	load := cfg.Load
-	total := cfg.Warmup + cfg.Measure
 
 	var injected, delivered, dropped, flits int64
 
@@ -321,7 +284,6 @@ func Run(cfg Config) (Result, error) {
 		for in := 0; in < n; in++ {
 			p := &ports[in]
 			piV := in * vcsN
-			rel := uint64(0)
 			if p.remaining > 0 {
 				if lossy {
 					// A flit crossing an L2LC inside a lossy outage is
@@ -338,7 +300,6 @@ func Run(cfg Config) (Result, error) {
 					req[in] = -1
 					continue
 				}
-				rel = 1
 				relIn[relN] = int32(in)
 				relN++
 				pk := &vcSlab[piV+int(p.connVC)]
@@ -426,18 +387,10 @@ func Run(cfg Config) (Result, error) {
 			dest := int(vcSlab[piV+int(v)].dest)
 			req[in] = dest
 			if fast {
-				// The crossbar's input-loop gate, applied at build time:
-				// inputs still holding (a delivery this cycle releases
-				// only after arbitration — exactly the rel case, since
-				// any other idle port's held entry is already clear) and
-				// busy outputs do not participate. The gate is branchless
-				// — its direction is data-random, so as a branch it would
-				// mispredict constantly; instead the eligibility bit
-				// (output free, port not releasing) multiplies into the
-				// mask ORs, making the ineligible case an OR of zero.
-				bit := uint64(uint32(xoutIn[dest])>>31) &^ rel
-				xmask[dest*words+in>>6] |= bit << (uint(in) & 63)
-				xdirty[dest>>6] |= bit << (uint(dest) & 63)
+				// The kernel applies the crossbar's participation rule: an
+				// input whose delivery finished this cycle still holds its
+				// output until phase 4, and busy outputs do not take part.
+				xk.Request(in, dest)
 			}
 		}
 		for _, d := range dead {
@@ -447,54 +400,17 @@ func Run(cfg Config) (Result, error) {
 		// 3. Arbitrate and start new connections (flits flow on the
 		// following cycles).
 		if fast {
-			// Min-key scan per requested column: the requestor with the
-			// smallest (stamp, index) is the list-LRG winner. The scan
-			// consumes the column — masks and dirty words are zeroed on
-			// data already in cache, so the next cycle starts clean. A
-			// fused run has no Obs, so the only possible sampler is
+			// A fused run has no Obs, so the only possible sampler is
 			// ConvergeStop's private one, which reads just the delivered
 			// series: wins and losses go uncounted.
-			for w, word := range xdirty {
-				for word != 0 {
-					out := w<<6 | bits.TrailingZeros64(word)
-					word &= word - 1
-					st := xstamp[out*n : (out+1)*n]
-					win, best := -1, int64(1)<<62
-					if words == 1 {
-						cword := xmask[out]
-						xmask[out] = 0
-						for cword != 0 {
-							in := bits.TrailingZeros64(cword)
-							cword &= cword - 1
-							if key := st[in]<<32 | int64(in); key < best {
-								best, win = key, in
-							}
-						}
-					} else {
-						col := xmask[out*words : (out+1)*words]
-						for cw, cword := range col {
-							for cword != 0 {
-								in := cw<<6 | bits.TrailingZeros64(cword)
-								cword &= cword - 1
-								if key := st[in]<<32 | int64(in); key < best {
-									best, win = key, in
-								}
-							}
-							col[cw] = 0
-						}
+			xgrants = xk.Arbitrate(xgrants[:0])
+			for _, g := range xgrants {
+				if chk != nil {
+					if err := chk.checkGrant(cycle, g.In, g.Out); err != nil {
+						return Result{}, err
 					}
-					if chk != nil {
-						if err := chk.checkGrant(cycle, win, out); err != nil {
-							return Result{}, err
-						}
-					}
-					xclock[out]++
-					st[win] = xclock[out]
-					xheld[win] = int32(out)
-					xoutIn[out] = int32(win)
-					ports[win].remaining = F
 				}
-				xdirty[w] = 0
+				ports[g.In].remaining = F
 			}
 		} else {
 			for _, g := range sw.Arbitrate(req) {
@@ -525,9 +441,7 @@ func Run(cfg Config) (Result, error) {
 		// 4. Release the connections that finished this cycle.
 		for _, in := range relIn[:relN] {
 			if fast {
-				out := xheld[in]
-				xheld[in] = -1
-				xoutIn[out] = -1
+				xk.Release(int(in))
 			} else {
 				sw.Release(int(in))
 			}
@@ -541,14 +455,7 @@ func Run(cfg Config) (Result, error) {
 			var dest int
 			var inject bool
 			if uniOK {
-				if uniAlways || (!uniNever && p.rng.Uint64()>>11 < uniThresh) {
-					inject = true
-					if uniPow2 {
-						dest = int(p.rng.Uint64() >> uniShift)
-					} else {
-						dest = p.rng.Intn(uni.Radix)
-					}
-				}
+				dest, inject = uniDraw.Next(&p.rng)
 			} else {
 				dest, inject = tr.Next(in, cycle, load, &p.rng)
 			}

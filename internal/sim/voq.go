@@ -141,7 +141,7 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 	mFlits := cfg.Obs.Counter("sim.flits.delivered")
 	mWins := cfg.Obs.TrackedCounter(samp, "sim.arb.wins")
 	mLosses := cfg.Obs.TrackedCounter(samp, "sim.arb.losses")
-	mLatency := cfg.Obs.Histogram("sim.latency.cycles", 4, 4096)
+	mLatency := cfg.Obs.Histogram("sim.latency.cycles", 4, obs.MaxLatencyBins)
 	cfg.Obs.Gauge("sim.offered.load").Set(cfg.Load)
 
 	root := prng.New(cfg.Seed)
@@ -188,12 +188,12 @@ func RunVOQ(cfg VOQConfig) (Result, error) {
 		})
 	}
 
-	hist := obs.NewHistogram(4, 4096)
 	perLat := stats.NewPerPort(n)
 	perPkt := make([]int64, n)
 	var injected, delivered, dropped int64
 
 	total := cfg.Warmup + cfg.Measure
+	hist := obs.NewHistogram(4, obs.RunHistogramBins(total-1))
 	var stoppedAt int64 // cycle count at a ConvergeStop early exit, 0 = ran full length
 	for cycle := int64(0); cycle < total; cycle++ {
 		if cfg.Ctx != nil && cycle%ctxCheckInterval == 0 && cfg.Ctx.Err() != nil {

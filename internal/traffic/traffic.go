@@ -10,6 +10,7 @@
 package traffic
 
 import (
+	"math"
 	"math/bits"
 
 	"github.com/reprolab/hirise/internal/prng"
@@ -29,6 +30,58 @@ func (u Uniform) Next(_ int, _ int64, load float64, rng *prng.Source) (int, bool
 		return 0, false
 	}
 	return rng.Intn(u.Radix), true
+}
+
+// UniformDraw is Uniform.Next at one fixed load, compiled for a cycle
+// loop that draws for every port every cycle: no interface call, no
+// float compare, and for a power-of-two radix no bounded-draw loop. For
+// every rng state it returns exactly what Uniform.Next returns and
+// consumes exactly the same draws, so a loop may use either.
+//
+//   - Acceptance is Bernoulli's Float64() < load as an integer compare
+//     on the raw 53-bit draw: (x>>11)·2⁻⁵³ < p ⇔ x>>11 < ⌈p·2⁵³⌉, and
+//     both scalings are exact exponent shifts. Loads at or below 0 and
+//     at or above 1 draw nothing, as Bernoulli does; a NaN load draws
+//     and never accepts, as Bernoulli does.
+//   - The destination of a power-of-two radix 2^b is x >> (64-b): that
+//     is Lemire's Intn(2^b), whose rejection threshold 2^64 mod 2^b is
+//     zero, so it never draws twice.
+type UniformDraw struct {
+	thresh        uint64 // accept iff Uint64()>>11 < thresh (bernoulli mode)
+	radix         int
+	shift         uint // power-of-two destination shift
+	always, never bool
+	pow2          bool
+}
+
+// NewUniformDraw compiles u.Next at load.
+func NewUniformDraw(u Uniform, load float64) UniformDraw {
+	d := UniformDraw{radix: u.Radix}
+	switch {
+	case load <= 0:
+		d.never = true
+	case load >= 1:
+		d.always = true
+	case load == load: // not NaN; a NaN load keeps thresh 0
+		d.thresh = uint64(math.Ceil(load * (1 << 53)))
+	}
+	if u.Radix > 0 && u.Radix&(u.Radix-1) == 0 {
+		d.pow2 = true
+		d.shift = uint(64 - bits.Len(uint(u.Radix)-1))
+	}
+	return d
+}
+
+// Next draws one cycle's injection for a port: the destination and
+// whether the port injects, exactly as Uniform.Next(_, _, load, rng).
+func (d *UniformDraw) Next(rng *prng.Source) (int, bool) {
+	if d.always || !d.never && rng.Uint64()>>11 < d.thresh {
+		if d.pow2 {
+			return int(rng.Uint64() >> d.shift), true
+		}
+		return rng.Intn(d.radix), true
+	}
+	return 0, false
 }
 
 // Hotspot sends every packet from every input to one output (the paper's

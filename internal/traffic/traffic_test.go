@@ -252,3 +252,42 @@ func TestZeroLoadNeverInjects(t *testing.T) {
 		}
 	}
 }
+
+// TestUniformDrawMatchesNext pins UniformDraw's contract: from the same
+// PRNG state it returns Uniform.Next's destination and verdict and
+// leaves the PRNG in the same state, for power-of-two and other radices
+// and for loads at, between and beyond the Bernoulli edges (NaN too).
+// Random draws almost never land on the acceptance boundary, so the
+// threshold is also checked against Float64's rule there: the largest
+// accepted 53-bit draw is below the load, the smallest rejected one is
+// not.
+func TestUniformDrawMatchesNext(t *testing.T) {
+	loads := []float64{-1, 0, 1e-300, 0.05, 0.3, 0.5, 1 - 1e-16, math.Nextafter(1, 0), 1, 2, math.NaN()}
+	for _, load := range loads {
+		if !(load > 0 && load < 1) {
+			continue
+		}
+		k := NewUniformDraw(Uniform{Radix: 8}, load).thresh
+		if !(float64(k-1)/(1<<53) < load) || float64(k)/(1<<53) < load {
+			t.Errorf("load %v: threshold %d is not the first 53-bit draw Float64 rejects", load, k)
+		}
+	}
+	for _, radix := range []int{1, 2, 7, 8, 63, 64, 100, 1024} {
+		for _, load := range loads {
+			u := Uniform{Radix: radix}
+			d := NewUniformDraw(u, load)
+			a, b := prng.New(uint64(radix)), prng.New(uint64(radix))
+			for i := 0; i < 2000; i++ {
+				wantDest, wantOK := u.Next(0, 0, load, a)
+				gotDest, gotOK := d.Next(b)
+				if gotDest != wantDest || gotOK != wantOK {
+					t.Fatalf("radix %d load %v draw %d: UniformDraw (%d, %v), Uniform.Next (%d, %v)",
+						radix, load, i, gotDest, gotOK, wantDest, wantOK)
+				}
+				if *a != *b {
+					t.Fatalf("radix %d load %v draw %d: PRNG streams diverged", radix, load, i)
+				}
+			}
+		}
+	}
+}
